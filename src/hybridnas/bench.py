@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .swarm import (Bounds, SwarmConfig, cso_loser_update, evolve_generation,
-                    init_population)
+from .swarm import (Bounds, SwarmConfig, evolve_generation, init_population,
+                    update_loser)
 
 
 def sphere(x: np.ndarray) -> float:
@@ -68,7 +68,7 @@ def run_pairwise_cso(fn, bounds: Bounds, budget: int, seed: int,
             if swarm.particles[b].fitness < swarm.particles[a].fitness:
                 a, b = b, a
             loser = swarm.particles[b]
-            loser.position, loser.velocity = cso_loser_update(
+            loser.position, loser.velocity = update_loser(
                 loser.position, loser.velocity, swarm.particles[a].position,
                 x_mean, config.phi, bounds, rng)
     return BenchResult("cso", best, generations * config.pop_size)

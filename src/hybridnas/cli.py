@@ -22,7 +22,7 @@ from .controller import (EpochRecord, SearchSettings, StageConfig, StopMode,
 from .fitness import FitnessWeights, LossBounds
 from .gradcheck import check_gradients, make_gradcheck_problem
 from .runtime import RandomStream
-from .supernet import (ArchLayout, ArchParams, Genotype, SupernetState,
+from .supernet import (DEFAULT_OPS, ArchLayout, Genotype, SupernetState,
                        SyntheticDataset)
 from .swarm import SwarmConfig
 from .tabular import brute_force_best, generate_space, load_space, save_space
@@ -31,7 +31,9 @@ from .tabular import brute_force_best, generate_space, load_space, save_space
 @dataclass
 class RunConfig:
     """Flat run configuration; field names double as config-file keys and
-    (kebab-cased) CLI flags."""
+    (kebab-cased) CLI flags.  Fields named like a field of StageConfig,
+    SwarmConfig or FitnessWeights are passed to it by name and take its
+    default; ``max_epochs`` is StageConfig's ``max_total_epochs``."""
 
     backend: str = "supernet"
     space: str = ""
@@ -42,39 +44,39 @@ class RunConfig:
     timing: bool = False
 
     # layout / data
-    num_nodes: int = 2
-    ops: str = "zero,skip,linear,relu_linear,tanh_linear"
+    num_nodes: int = ArchLayout.num_nodes
+    ops: str = ",".join(DEFAULT_OPS)
     feature_dim: int = 16
     num_classes: int = 3
     train_size: int = 600
     val_size: int = 300
 
     # swarm
-    pop_size: int = 60
-    phi: float = 0.15
-    generations_per_epoch: int = 8
-    swarm_bound: float = 3.0
+    pop_size: int = SwarmConfig.pop_size
+    phi: float = SwarmConfig.phi
+    generations_per_epoch: int = SwarmConfig.generations_per_epoch
+    swarm_bound: float = StageConfig.swarm_bound
 
     # fitness
-    lambda_swarm: float = 0.3
-    lambda_op: float = 0.2
-    history_capacity: int = 200
+    lambda_swarm: float = FitnessWeights.lambda_swarm
+    lambda_op: float = FitnessWeights.lambda_op
+    history_capacity: int = SearchSettings.history_capacity
     loss_min: float = math.nan   # nan: backend default bounds
     loss_max: float = math.nan
 
     # stages
-    warmup_epochs: int = 5
-    batch_size: int = 64
-    eta_w: float = 0.025
-    exploration_eta_alpha: float = 0.3
-    stability_threshold: float = 0.82
-    stability_arch_lr: float = 1e-5
-    min_stability_epochs: int = 5
-    window_n: int = 5
-    confidence_delta: float = 0.05
-    abs_alpha_threshold: float = 1e-3
-    stop_mode: str = "strict"
-    max_epochs: int = 100
+    warmup_epochs: int = StageConfig.warmup_epochs
+    batch_size: int = StageConfig.batch_size
+    eta_w: float = StageConfig.eta_w
+    exploration_eta_alpha: float = StageConfig.exploration_eta_alpha
+    stability_threshold: float = StageConfig.stability_threshold
+    stability_arch_lr: float = StageConfig.stability_arch_lr
+    min_stability_epochs: int = StageConfig.min_stability_epochs
+    window_n: int = StageConfig.window_n
+    confidence_delta: float = StageConfig.confidence_delta
+    abs_alpha_threshold: float = StageConfig.abs_alpha_threshold
+    stop_mode: str = StageConfig.stop_mode.value
+    max_epochs: int = StageConfig.max_total_epochs
 
     def layout(self) -> ArchLayout:
         names = tuple(o.strip() for o in self.ops.split(",") if o.strip())
@@ -84,29 +86,15 @@ class RunConfig:
         lb = None
         if not (math.isnan(self.loss_min) or math.isnan(self.loss_max)):
             lb = LossBounds(self.loss_min, self.loss_max)
-        return SearchSettings(
-            stage=StageConfig(
-                warmup_epochs=self.warmup_epochs,
-                batch_size=self.batch_size,
-                eta_w=self.eta_w,
-                exploration_eta_alpha=self.exploration_eta_alpha,
-                stability_threshold=self.stability_threshold,
-                stability_arch_lr=self.stability_arch_lr,
-                min_stability_epochs=self.min_stability_epochs,
-                window_n=self.window_n,
-                confidence_delta=self.confidence_delta,
-                abs_alpha_threshold=self.abs_alpha_threshold,
-                stop_mode=StopMode(self.stop_mode),
-                max_total_epochs=self.max_epochs,
-                swarm_bound=self.swarm_bound,
-            ),
-            swarm=SwarmConfig(pop_size=self.pop_size, phi=self.phi,
-                              generations_per_epoch=self.generations_per_epoch,
-                              rng_seed=self.seed),
-            weights=FitnessWeights(self.lambda_swarm, self.lambda_op),
-            loss_bounds=lb,
-            history_capacity=self.history_capacity,
-        )
+        values = vars(self) | {"max_total_epochs": self.max_epochs,
+                               "stop_mode": StopMode(self.stop_mode)}
+
+        def build(cls):
+            return cls(**{f.name: values[f.name] for f in fields(cls)})
+
+        return SearchSettings(stage=build(StageConfig), swarm=build(SwarmConfig),
+                              weights=build(FitnessWeights), loss_bounds=lb,
+                              history_capacity=self.history_capacity)
 
 
 def _coerce(key: str, raw: str, target_type, line_no: int | None = None):

@@ -53,7 +53,6 @@ class StageConfig:
     warmup_epochs: int = 5
     batch_size: int = 64
     eta_w: float = 0.025
-    warmup_arch_lr: float = 0.0          # frozen by definition
     exploration_eta_alpha: float = 0.3
     stability_threshold: float = 0.82
     stability_arch_lr: float = 1e-5
@@ -68,8 +67,6 @@ class StageConfig:
     def __post_init__(self):
         if self.warmup_epochs < 0:
             raise ValueError("warmup_epochs must be >= 0")
-        if self.warmup_arch_lr != 0.0:
-            raise ValueError("warmup_arch_lr is fixed at 0")
         for name in ("batch_size", "eta_w", "min_stability_epochs", "window_n",
                      "max_total_epochs", "swarm_bound"):
             if getattr(self, name) <= 0:
@@ -127,9 +124,7 @@ def soft_update_alpha(alpha: ArchParams, x_star: np.ndarray,
                       eta_alpha: float, layout: ArchLayout) -> ArchParams:
     """alpha + eta * (decode(x*) - alpha), elementwise."""
     target = ArchParams.decode(x_star, layout)
-    return ArchParams(
-        alpha.alpha_normal + eta_alpha * (target.alpha_normal - alpha.alpha_normal),
-        alpha.alpha_reduce + eta_alpha * (target.alpha_reduce - alpha.alpha_reduce))
+    return ArchParams(alpha.scores + eta_alpha * (target.scores - alpha.scores))
 
 
 @dataclass
@@ -154,7 +149,6 @@ class SearchResult:
     alpha: ArchParams
     records: list[EpochRecord]
     termination: Termination
-    best_genotype_key: str | None = None
 
 
 class SupernetBackend:
@@ -212,9 +206,7 @@ class SupernetBackend:
             if vi.size == 0:
                 vi = v_order[:cfg.batch_size]
             ag = grad_alpha(self.state, alpha, vx[vi], vy[vi])
-            alpha = ArchParams(
-                alpha.alpha_normal - cfg.stability_arch_lr * ag.alpha_normal,
-                alpha.alpha_reduce - cfg.stability_arch_lr * ag.alpha_reduce)
+            alpha = ArchParams(alpha.scores - cfg.stability_arch_lr * ag.scores)
         return alpha
 
     def val_accuracy(self, alpha: ArchParams) -> float:
@@ -232,6 +224,9 @@ class TabularBackend:
         if 2 * layout.edges_per_cell != space.num_edges:
             raise ValueError(f"layout has {2 * layout.edges_per_cell} edges, "
                              f"space expects {space.num_edges}")
+        if space.op_names != layout.candidate_ops:
+            raise ValueError(f"layout ops {list(layout.candidate_ops)} differ "
+                             f"from space ops {list(space.op_names)}")
         self.space = space
         self.layout = layout
         self.budget = QueryBudget(queries_max=queries_max)
@@ -302,8 +297,6 @@ def run_search(config: SearchSettings, backend, seed: int,
     warmup_done = 0
     stability_done = 0
     termination = Termination.MAX_EPOCHS
-    best_loss_seen = math.inf
-    best_genotype_key: str | None = None
     epoch = 0
 
     def clock():
@@ -344,20 +337,16 @@ def run_search(config: SearchSettings, backend, seed: int,
                                   swarm_rng)
                 update_history(history, swarm)
 
-            base_vals = []
-            for p in swarm.particles:
-                loss_val, genotype = backend.position_loss(p.position, eval_batch)
-                base_vals.append(base_fitness(loss_val, loss_bounds))
-                if loss_val < best_loss_seen:
-                    best_loss_seen = loss_val
-                    best_genotype_key = genotype.key()
+            base_vals = [
+                base_fitness(backend.position_loss(p.position, eval_batch)[0],
+                             loss_bounds)
+                for p in swarm.particles]
             star = select_best(swarm, base_vals)
             alpha = soft_update_alpha(alpha, swarm.particles[star].position,
                                       cfg.exploration_eta_alpha, layout)
             backend.train_weight_epoch(alpha, cfg.eta_w, cfg.batch_size, data_rng)
             best_base = float(min(base_vals))
-            best_comb = float(min(p.fitness for p in swarm.particles
-                                  if p.fitness is not None))
+            best_comb = float(min(p.fitness for p in swarm.particles))
             if backend.val_accuracy(alpha) > cfg.stability_threshold:
                 stage = Stage.STABILITY
 
@@ -389,5 +378,4 @@ def run_search(config: SearchSettings, backend, seed: int,
         ))
 
     return SearchResult(genotype=discretize(alpha), alpha=alpha,
-                        records=records, termination=termination,
-                        best_genotype_key=best_genotype_key)
+                        records=records, termination=termination)

@@ -60,19 +60,6 @@ class HistoryArchive:
         self.entries.append(position.copy())
 
 
-@dataclass
-class FitnessReport:
-    base: float
-    swarm_div: float
-    op_div: float
-    lambda_swarm: float
-    lambda_op: float
-
-    @property
-    def combined(self) -> float:
-        return self.base - self.lambda_swarm * self.swarm_div - self.lambda_op * self.op_div
-
-
 def base_fitness(loss: float, bounds: LossBounds) -> float:
     """Normalize a loss into [0, 1]; values outside the bounds clamp."""
     if not math.isfinite(loss):
@@ -106,20 +93,6 @@ def entropy_diversity(frequencies: np.ndarray) -> float:
     return h / math.log(p.shape[0])
 
 
-def op_diversity(x: np.ndarray, layout) -> float:
-    """Operation entropy of the genotype decoded from a position.
-
-    The position is decoded to per-edge scores, each edge picks its argmax
-    operation, and the normalized entropy of the resulting selection
-    frequencies over both cells is returned.
-    """
-    from .supernet import ArchParams, discretize, op_frequencies
-
-    alpha = ArchParams.decode(x, layout)
-    genotype = discretize(alpha)
-    return entropy_diversity(op_frequencies(genotype, layout))
-
-
 def combined_fitness(base: float, swarm_div: float, op_div: float,
                      weights: FitnessWeights) -> float:
     return base - weights.lambda_swarm * swarm_div - weights.lambda_op * op_div
@@ -127,10 +100,14 @@ def combined_fitness(base: float, swarm_div: float, op_div: float,
 
 def update_history(history: HistoryArchive, swarm) -> HistoryArchive:
     """Append the position of the swarm's current best (lowest fitness)
-    particle.  Oldest entries are evicted beyond capacity."""
-    evaluated = [p for p in swarm.particles if p.fitness is not None]
-    if not evaluated:
+    particle.  Oldest entries are evicted beyond capacity.
+
+    After a generation, a moved particle still holds its pre-move fitness,
+    which is no better than its triplet winner's (ties: the winner has the
+    lower index), so the first minimum is always an unmoved particle.
+    """
+    if any(p.fitness is None for p in swarm.particles):
         raise ValueError("swarm has no evaluated particles")
-    best = min(evaluated, key=lambda p: p.fitness)
+    best = min(swarm.particles, key=lambda p: p.fitness)
     history.add(best.position)
     return history

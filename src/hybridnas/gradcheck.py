@@ -53,12 +53,11 @@ def min_kink_distance(state: SupernetState, alpha: ArchParams,
     larger than the step."""
     from .supernet import _forward
 
-    cache: list = []
-    _forward(state, alpha, np.asarray(x, dtype=float), cache)
+    traces: list = []
+    _forward(state, alpha, np.asarray(x, dtype=float), traces)
     dist = np.inf
-    for cell_cache in (cache[1], cache[3]):
-        _, _, edge_cache = cell_cache
-        for _, _, _, _, pres in edge_cache:
+    for trace in traces:
+        for _, _, _, _, pres in trace.edges:
             for op, pre in zip(state.layout.candidate_ops, pres):
                 if pre is not None and op in ("relu_linear", "abs_linear"):
                     dist = min(dist, float(np.min(np.abs(pre))))
@@ -74,8 +73,8 @@ def make_gradcheck_problem(layout: ArchLayout, seed: int, batch: int = 8,
         rng = np.random.default_rng(trial)
         state = SupernetState.init(layout, rng, feature_dim=feature_dim,
                                    num_classes=num_classes)
-        shape = (layout.edges_per_cell, layout.num_ops)
-        alpha = ArchParams(rng.normal(0, 0.5, shape), rng.normal(0, 0.5, shape))
+        alpha = ArchParams(rng.normal(
+            0, 0.5, (2, layout.edges_per_cell, layout.num_ops)))
         x = rng.normal(size=(batch, state.in_dim))
         y = rng.integers(0, num_classes, size=batch)
         if min_kink_distance(state, alpha, x) > 50 * step:

@@ -15,7 +15,7 @@ finite-difference oracle used to verify them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,8 +37,6 @@ PARAM_FREE_OPS = ("zero", "skip")
 KNOWN_OPS = PARAM_FREE_OPS + tuple(_ACTIVATIONS)
 
 DEFAULT_OPS = ("zero", "skip", "linear", "relu_linear", "tanh_linear")
-
-CELL_NAMES = ("normal", "reduce")
 
 
 def param_dimension(num_nodes: int, num_ops: int) -> int:
@@ -109,23 +107,20 @@ class ArchLayout:
 
 @dataclass
 class ArchParams:
-    """Architecture scores for both cells, shape (edges_per_cell, num_ops)."""
+    """Architecture scores of both cells in one array of shape
+    (2, edges_per_cell, num_ops): the normal cell first, then the reduce
+    cell."""
 
-    alpha_normal: np.ndarray
-    alpha_reduce: np.ndarray
+    scores: np.ndarray
 
     @classmethod
     def zeros(cls, layout: ArchLayout) -> "ArchParams":
-        shape = (layout.edges_per_cell, layout.num_ops)
-        return cls(np.zeros(shape), np.zeros(shape))
-
-    def copy(self) -> "ArchParams":
-        return ArchParams(self.alpha_normal.copy(), self.alpha_reduce.copy())
+        return cls(np.zeros((2, layout.edges_per_cell, layout.num_ops)))
 
     def encode(self) -> np.ndarray:
         """Flatten to a position vector: normal cell first, row-major by
         edge then op."""
-        return np.concatenate([self.alpha_normal.ravel(), self.alpha_reduce.ravel()])
+        return self.scores.flatten()
 
     @classmethod
     def decode(cls, position: np.ndarray, layout: ArchLayout) -> "ArchParams":
@@ -133,13 +128,8 @@ class ArchParams:
         if position.shape != (layout.dimension,):
             raise ValueError(f"position has length {position.shape[0]}, "
                              f"expected {layout.dimension}")
-        half = layout.dimension // 2
-        shape = (layout.edges_per_cell, layout.num_ops)
-        return cls(position[:half].reshape(shape).copy(),
-                   position[half:].reshape(shape).copy())
-
-    def cell(self, idx: int) -> np.ndarray:
-        return self.alpha_normal if idx == 0 else self.alpha_reduce
+        return cls(position.reshape(2, layout.edges_per_cell,
+                                    layout.num_ops).copy())
 
 
 @dataclass
@@ -175,24 +165,27 @@ class Genotype:
         return cls(cells[0], cells[1])
 
     def key(self) -> str:
-        return "-".join(str(i) for i in self.normal + self.reduce)
+        return genotype_key(self.normal + self.reduce)
+
+
+def genotype_key(indices: tuple[int, ...]) -> str:
+    """Lookup key of a genotype: the op index of every edge, normal cell
+    first, joined by '-'."""
+    return "-".join(str(i) for i in indices)
 
 
 def discretize(alpha: ArchParams) -> Genotype:
     """Per-edge argmax over op scores; ties go to the lowest op index."""
-    for a in (alpha.alpha_normal, alpha.alpha_reduce):
-        if not np.all(np.isfinite(a)):
-            raise ValueError("architecture scores must be finite")
-    return Genotype(tuple(int(i) for i in alpha.alpha_normal.argmax(axis=1)),
-                    tuple(int(i) for i in alpha.alpha_reduce.argmax(axis=1)))
+    if not np.all(np.isfinite(alpha.scores)):
+        raise ValueError("architecture scores must be finite")
+    normal, reduce = alpha.scores.argmax(axis=2).tolist()
+    return Genotype(tuple(normal), tuple(reduce))
 
 
 def op_frequencies(genotype: Genotype, layout: ArchLayout) -> np.ndarray:
     """Selection frequency of each operation over all edges of both cells."""
-    counts = np.zeros(layout.num_ops)
-    for sel in (genotype.normal, genotype.reduce):
-        for i in sel:
-            counts[i] += 1
+    counts = np.bincount(genotype.normal + genotype.reduce,
+                         minlength=layout.num_ops)
     return counts / (2 * layout.edges_per_cell)
 
 
@@ -271,13 +264,25 @@ def _zero_grads(state: SupernetState) -> dict[str, np.ndarray]:
     return {n: np.zeros_like(getattr(state, n)) for n in SupernetState._ARRAYS}
 
 
+@dataclass
+class CellTrace:
+    """What one cell's forward pass keeps for the backward pass."""
+
+    nodes: list[np.ndarray]   # node outputs; nodes 0 and 1 are the cell input
+    concat: np.ndarray        # intermediate node outputs side by side
+    # per edge, in edge order: (source node, input, op weights, op outputs,
+    # pre-activations); outputs and pre-activations are None where absent
+    edges: list[tuple]
+    out: np.ndarray           # cell output, concat @ proj_w[cell]
+
+
 def _cell_forward(state: SupernetState, cell: int, alpha_cell: np.ndarray,
-                  s: np.ndarray, cache: list | None):
+                  s: np.ndarray, traces: list[CellTrace] | None):
     layout = state.layout
     slots = layout.param_slots
     nodes = [s, s]
     edge = 0
-    edge_cache = []
+    edge_trace = []
     for t in range(layout.num_nodes):
         acc = np.zeros_like(s)
         for i in range(t + 2):
@@ -300,28 +305,25 @@ def _cell_forward(state: SupernetState, cell: int, alpha_cell: np.ndarray,
                     pres.append(pre)
                     mixed += w[o] * out
             acc = acc + mixed
-            if cache is not None:
-                edge_cache.append((i, x, w, outs, pres))
+            if traces is not None:
+                edge_trace.append((i, x, w, outs, pres))
             edge += 1
         nodes.append(acc)
     concat = np.concatenate(nodes[2:], axis=1)
     out = concat @ state.proj_w[cell]
-    if cache is not None:
-        cache.append((nodes, concat, edge_cache))
+    if traces is not None:
+        traces.append(CellTrace(nodes, concat, edge_trace, out))
     return out
 
 
 def _forward(state: SupernetState, alpha: ArchParams, x: np.ndarray,
-             cache: list | None = None) -> np.ndarray:
+             traces: list[CellTrace] | None = None) -> np.ndarray:
+    """Logits; with ``traces`` given, appends one CellTrace per cell."""
     if x.ndim != 2 or x.shape[1] != state.in_dim:
         raise ValueError(f"batch has shape {x.shape}, expected (*, {state.in_dim})")
     h = x @ state.stem_w + state.stem_b
-    if cache is not None:
-        cache.append(h)
     for cell in range(2):
-        h = _cell_forward(state, cell, alpha.cell(cell), h, cache)
-        if cache is not None and cell == 0:
-            cache.append(h)
+        h = _cell_forward(state, cell, alpha.scores[cell], h, traces)
     return h @ state.cls_w + state.cls_b
 
 
@@ -348,24 +350,24 @@ def loss(state: SupernetState, alpha: ArchParams, x: np.ndarray,
 
 
 def _cell_backward(state: SupernetState, cell: int, d_out: np.ndarray,
-                   cell_cache, wgrads: dict, agrad_cell: np.ndarray
+                   trace: CellTrace, wgrads: dict, agrad_cell: np.ndarray
                    ) -> np.ndarray:
     layout = state.layout
     slots = layout.param_slots
-    nodes, concat, edge_cache = cell_cache
+    nodes = trace.nodes
     f = state.feature_dim
 
-    wgrads["proj_w"][cell] += concat.T @ d_out
+    wgrads["proj_w"][cell] += trace.concat.T @ d_out
     d_concat = d_out @ state.proj_w[cell].T
     d_nodes = [np.zeros_like(nodes[0]) for _ in nodes]
     for t in range(layout.num_nodes):
         d_nodes[t + 2] = d_concat[:, t * f:(t + 1) * f]
 
-    edge = len(edge_cache) - 1
+    edge = len(trace.edges) - 1
     for t in reversed(range(layout.num_nodes)):
         d_acc = d_nodes[t + 2]
         for _ in range(t + 2):
-            i, x, w, outs, pres = edge_cache[edge]
+            i, x, w, outs, pres = trace.edges[edge]
             # softmax backward: d alpha = w * (g - <w, g>), g_o = <d_acc, out_o>
             g = np.zeros(layout.num_ops)
             d_x = np.zeros_like(x)
@@ -394,8 +396,8 @@ def loss_and_grads(state: SupernetState, alpha: ArchParams, x: np.ndarray,
     y = np.asarray(y, dtype=int)
     if x.shape[0] == 0:
         raise ValueError("batch must be non-empty")
-    cache: list = []
-    logits = _forward(state, alpha, x, cache)
+    traces: list[CellTrace] = []
+    logits = _forward(state, alpha, x, traces)
     logp = _log_softmax(logits)
     n = y.size
     loss_val = float(-logp[np.arange(n), y].mean())
@@ -407,19 +409,14 @@ def loss_and_grads(state: SupernetState, alpha: ArchParams, x: np.ndarray,
     d_logits[np.arange(n), y] -= 1.0
     d_logits /= n
 
-    stem_out, cell0_cache, cell0_out, cell1_cache = (
-        cache[0], cache[1], cache[2], cache[3])
-    feat = cell1_cache[1] @ state.proj_w[1]  # output of cell 1 (classifier input)
-    wgrads["cls_w"] += feat.T @ d_logits
+    wgrads["cls_w"] += traces[1].out.T @ d_logits
     wgrads["cls_b"] += d_logits.sum(axis=0)
-    d_feat = d_logits @ state.cls_w.T
-
-    d_cell0_out = _cell_backward(state, 1, d_feat, cell1_cache, wgrads,
-                                 agrad.alpha_reduce)
-    d_stem = _cell_backward(state, 0, d_cell0_out, cell0_cache, wgrads,
-                            agrad.alpha_normal)
-    wgrads["stem_w"] += x.T @ d_stem
-    wgrads["stem_b"] += d_stem.sum(axis=0)
+    d_h = d_logits @ state.cls_w.T
+    for cell in (1, 0):
+        d_h = _cell_backward(state, cell, d_h, traces[cell], wgrads,
+                             agrad.scores[cell])
+    wgrads["stem_w"] += x.T @ d_h
+    wgrads["stem_b"] += d_h.sum(axis=0)
     return loss_val, wgrads, agrad
 
 
@@ -471,7 +468,10 @@ class SyntheticDataset:
     def spirals(cls, rng: np.random.Generator, n_train: int = 600,
                 n_val: int = 300, num_classes: int = 3, noise: float = 0.10,
                 turns: float = 0.8) -> "SyntheticDataset":
-        assert n_train % num_classes == 0 and n_val % num_classes == 0
+        for name, n in (("n_train", n_train), ("n_val", n_val)):
+            if n <= 0 or n % num_classes:
+                raise ValueError(f"{name}={n} must be a positive multiple of "
+                                 f"num_classes={num_classes}")
         per_tr = n_train // num_classes
         per_va = n_val // num_classes
         tr_x, tr_y, va_x, va_y = [], [], [], []

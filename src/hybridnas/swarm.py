@@ -4,7 +4,8 @@ Particles are grouped into random triplets each generation.  The winner of a
 triplet is preserved verbatim, the second-best is updated with probability
 0.5 toward the winner and the swarm centroid, and the loser is always
 updated toward the winner and the recorded global best.  The classic
-pairwise loser update is kept as a comparison baseline.
+pairwise baseline (``bench.run_pairwise_cso``) is ``update_loser`` with the
+swarm centroid in place of the global best.
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ class SwarmConfig:
     pop_size: int = 60
     phi: float = 0.15
     generations_per_epoch: int = 8
-    rng_seed: int = 0
 
     def __post_init__(self):
         if self.pop_size < 3:
@@ -67,6 +67,8 @@ class SwarmConfig:
 class Particle:
     position: np.ndarray
     velocity: np.ndarray
+    # Value at the most recent evaluation, None before the first.  A particle
+    # moved after evaluation keeps it until the next generation re-evaluates.
     fitness: float | None = None
 
     def copy(self) -> "Particle":
@@ -170,15 +172,6 @@ def update_loser(x_l: np.ndarray, v_l: np.ndarray, x_w: np.ndarray,
     return clamp_to_bounds(x_l + v_new, v_new, bounds)
 
 
-def cso_loser_update(x_l: np.ndarray, v_l: np.ndarray, x_w: np.ndarray,
-                     x_mean: np.ndarray, phi: float, bounds: Bounds,
-                     rng: np.random.Generator
-                     ) -> tuple[np.ndarray, np.ndarray]:
-    """Classic pairwise-competition loser update (centroid term instead of
-    global best); baseline for comparison experiments."""
-    return update_loser(x_l, v_l, x_w, x_mean, phi, bounds, rng)
-
-
 def _sanitize(value: float, index: int) -> float:
     if not np.isfinite(value):
         log.error("non-finite fitness %r for particle %d; ranking as worst",
@@ -216,18 +209,14 @@ def evolve_generation(swarm: Swarm, fitness_fn, config: SwarmConfig,
         roles["losers"].append(l)
 
         pm = swarm.particles[m]
-        new_pos, new_vel = update_second_best(
+        pm.position, pm.velocity = update_second_best(
             pm.position, pm.velocity, swarm.particles[w].position,
             x_mean, config.phi, bounds, rng)
-        if not np.array_equal(new_pos, pm.position):
-            pm.fitness = None
-        pm.position, pm.velocity = new_pos, new_vel
 
         pl = swarm.particles[l]
         pl.position, pl.velocity = update_loser(
             pl.position, pl.velocity, swarm.particles[w].position,
             x_best, config.phi, bounds, rng)
-        pl.fitness = None
 
     swarm.last_roles = roles
     swarm.generation_counter += 1

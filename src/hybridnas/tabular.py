@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .supernet import ArchLayout, ArchParams, Genotype, discretize
+from .supernet import ArchLayout, ArchParams, Genotype, discretize, genotype_key
 
 
 class SpaceFormatError(ValueError):
@@ -69,10 +69,6 @@ class TabularSpace:
         return len(self.table)
 
 
-def genotype_key(indices: tuple[int, ...]) -> str:
-    return "-".join(str(i) for i in indices)
-
-
 def _all_keys(num_edges: int, num_ops: int):
     for combo in itertools.product(range(num_ops), repeat=num_edges):
         yield combo
@@ -105,7 +101,11 @@ def load_space(path: str) -> TabularSpace:
     for req in ("name", "edges", "ops"):
         if req not in header:
             raise SpaceFormatError(f"missing header line '{req}='")
-    num_edges = int(header["edges"])
+    try:
+        num_edges = int(header["edges"])
+    except ValueError:
+        raise SpaceFormatError(f"header 'edges=' must be an integer, "
+                               f"got {header['edges']!r}") from None
     op_names = tuple(o.strip() for o in header["ops"].split(","))
 
     table: dict[str, Metrics] = {}

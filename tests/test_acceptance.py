@@ -131,8 +131,7 @@ def test_criterion_7_tabular_oracle_equivalence():
         hits = 0
         for seed in range(10):
             settings = SearchSettings(
-                stage=StageConfig(max_total_epochs=25),
-                swarm=SwarmConfig(rng_seed=seed))
+                stage=StageConfig(max_total_epochs=25))
             result = run_search(settings, TabularBackend(space, layout), seed)
             if result.genotype.key() in top:
                 hits += 1
@@ -200,7 +199,6 @@ def test_criterion_9_diversity_ablation():
         for seed in range(10):
             settings = SearchSettings(
                 stage=StageConfig(warmup_epochs=0, max_total_epochs=12),
-                swarm=SwarmConfig(rng_seed=seed),
                 weights=FitnessWeights(lam_s, lam_o))
             result = run_search(settings, backend(seed), seed)
             fracs.append(parameter_free_fraction(result.genotype, LAYOUT))

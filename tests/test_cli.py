@@ -205,6 +205,32 @@ def test_unknown_backend_is_clean_error(capsys):
     assert "backend" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("ops", ["zero,skip,linear,relu_linear,tanh_linear",
+                                 "linear,zero,skip,relu_linear"])
+def test_tabular_search_rejects_other_ops_than_space(tmp_path, capsys, ops):
+    # The first list has more ops than the space (queries of unknown
+    # genotypes), the second the same ops in another order (mislabelled
+    # output); both must fail before the run starts.
+    space_path = str(tmp_path / "space.txt")
+    main_cli(["gen-space", "--ops", "zero,skip,linear,relu_linear",
+              "--out", space_path])
+    out_dir = tmp_path / "run"
+    rc = main_cli(["search", "--backend", "tabular", "--space", space_path,
+                   "--num-nodes", "1", "--ops", ops, "--out", str(out_dir)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert ops.replace(",", "', '") in err
+    assert "'zero', 'skip', 'linear', 'relu_linear'" in err
+    assert not out_dir.exists()
+
+
+def test_split_size_not_multiple_of_classes_is_clean_error(tmp_path, capsys):
+    rc = main_cli(["search", "--train-size", "601",
+                   "--out", str(tmp_path / "run")])
+    assert rc == 1
+    assert "n_train=601" in capsys.readouterr().err
+
+
 def test_check_grad_command(capsys):
     rc = main_cli(["check-grad", "--num-nodes", "1",
                    "--ops", "zero,skip,linear,tanh_linear",

@@ -138,8 +138,6 @@ def test_stage_config_validation():
         StageConfig(warmup_epochs=-1)
     with pytest.raises(ValueError, match="stability_threshold"):
         StageConfig(stability_threshold=1.0)
-    with pytest.raises(ValueError, match="warmup_arch_lr"):
-        StageConfig(warmup_arch_lr=0.1)
     with pytest.raises(ValueError, match="exploration_eta_alpha"):
         StageConfig(exploration_eta_alpha=1.5)
 

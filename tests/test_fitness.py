@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hybridnas.fitness import (FitnessReport, FitnessWeights, HistoryArchive,
-                               LossBounds, base_fitness, combined_fitness,
-                               entropy_diversity, op_diversity, swarm_diversity,
+from hybridnas.fitness import (FitnessWeights, HistoryArchive, LossBounds,
+                               base_fitness, combined_fitness,
+                               entropy_diversity, swarm_diversity,
                                update_history)
-from hybridnas.supernet import ArchLayout
+from hybridnas.supernet import ArchLayout, ArchParams, discretize, op_frequencies
 from hybridnas.swarm import Bounds, SwarmConfig, init_population
 
 BOUNDS01 = LossBounds(0.0, 1.0)
@@ -129,7 +129,8 @@ def test_entropy_relabel_invariance():
 def test_op_diversity_from_position():
     layout = ArchLayout()
     # All scores equal: every edge picks op 0 -> zero entropy.
-    assert op_diversity(np.zeros(layout.dimension), layout) == 0.0
+    genotype = discretize(ArchParams.decode(np.zeros(layout.dimension), layout))
+    assert entropy_diversity(op_frequencies(genotype, layout)) == 0.0
 
 
 @given(st.lists(st.floats(0.01, 1.0), min_size=2, max_size=6))
@@ -142,11 +143,8 @@ def test_entropy_in_unit_interval(raw):
 # ---------------------------------------------------------------- combined
 
 def test_combined_identity():
-    r = FitnessReport(base=0.8, swarm_div=0.4, op_div=0.25,
-                      lambda_swarm=0.3, lambda_op=0.2)
-    assert r.combined == pytest.approx(0.8 - 0.3 * 0.4 - 0.2 * 0.25, abs=1e-15)
     assert combined_fitness(0.8, 0.4, 0.25, FitnessWeights(0.3, 0.2)) == \
-        pytest.approx(r.combined, abs=1e-15)
+        pytest.approx(0.8 - 0.3 * 0.4 - 0.2 * 0.25, abs=1e-15)
 
 
 def test_combined_zero_weights_is_base():

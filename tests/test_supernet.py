@@ -58,11 +58,10 @@ def test_encode_length_is_dimension():
 
 def test_encode_decode_round_trip():
     rng = np.random.default_rng(0)
-    shape = (LAYOUT.edges_per_cell, LAYOUT.num_ops)
-    alpha = ArchParams(rng.normal(size=shape), rng.normal(size=shape))
+    alpha = ArchParams(rng.normal(size=(2, LAYOUT.edges_per_cell, LAYOUT.num_ops)))
     back = ArchParams.decode(alpha.encode(), LAYOUT)
-    assert np.array_equal(back.alpha_normal, alpha.alpha_normal)
-    assert np.array_equal(back.alpha_reduce, alpha.alpha_reduce)
+    assert np.array_equal(back.scores[0], alpha.scores[0])
+    assert np.array_equal(back.scores[1], alpha.scores[1])
 
 
 def test_decode_rejects_wrong_length():
@@ -73,7 +72,7 @@ def test_decode_rejects_wrong_length():
 def test_decode_copies_input():
     vec = np.zeros(LAYOUT.dimension)
     alpha = ArchParams.decode(vec, LAYOUT)
-    alpha.alpha_normal[0, 0] = 5.0
+    alpha.scores[0, 0, 0] = 5.0
     assert vec[0] == 0.0
 
 
@@ -84,8 +83,8 @@ def test_discretize_selects_raised_entries():
     want_n = [1, 3, 0, 2, 4]
     want_r = [4, 4, 1, 1, 2]
     for e in range(5):
-        alpha.alpha_normal[e, want_n[e]] += 10.0
-        alpha.alpha_reduce[e, want_r[e]] += 10.0
+        alpha.scores[0, e, want_n[e]] += 10.0
+        alpha.scores[1, e, want_r[e]] += 10.0
     g = discretize(alpha)
     assert list(g.normal) == want_n and list(g.reduce) == want_r
 
@@ -97,15 +96,14 @@ def test_discretize_ties_choose_op_zero():
 
 def test_discretize_shift_invariance():
     rng = np.random.default_rng(3)
-    shape = (LAYOUT.edges_per_cell, LAYOUT.num_ops)
-    alpha = ArchParams(rng.normal(size=shape), rng.normal(size=shape))
-    shifted = ArchParams(alpha.alpha_normal + 7.5, alpha.alpha_reduce - 2.25)
+    alpha = ArchParams(rng.normal(size=(2, LAYOUT.edges_per_cell, LAYOUT.num_ops)))
+    shifted = ArchParams(alpha.scores + np.array([7.5, -2.25])[:, None, None])
     assert discretize(alpha) == discretize(shifted)
 
 
 def test_discretize_rejects_nonfinite():
     alpha = ArchParams.zeros(LAYOUT)
-    alpha.alpha_reduce[0, 0] = math.nan
+    alpha.scores[1, 0, 0] = math.nan
     with pytest.raises(ValueError, match="finite"):
         discretize(alpha)
 
@@ -205,7 +203,7 @@ def test_untrained_net_near_chance_level():
         rng = np.random.default_rng(seed)
         state = SupernetState.init(LAYOUT, rng)
         data = SyntheticDataset.spirals(rng, n_train=300, n_val=150)
-        alpha = ArchParams(rng.normal(0, 0.5, (5, 5)), rng.normal(0, 0.5, (5, 5)))
+        alpha = ArchParams(rng.normal(0, 0.5, (2, 5, 5)))
         accs.append(validation_accuracy(state, alpha, data.val_x, data.val_y))
     assert abs(float(np.mean(accs)) - 1 / 3) <= 0.15
 

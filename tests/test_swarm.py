@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hybridnas.swarm import (Bounds, SwarmConfig, clamp_to_bounds,
-                             cso_loser_update, evolve_generation,
-                             init_population, partition_triplets, rank_triplet,
-                             update_loser, update_second_best)
+                             evolve_generation, init_population,
+                             partition_triplets, rank_triplet, update_loser,
+                             update_second_best)
 
 
 class ForcedRng:
@@ -163,25 +163,6 @@ def test_loser_noop_when_all_points_coincide():
     pos, vel = update_loser(x, np.zeros(3), x.copy(), x.copy(), 0.15,
                             Bounds.cube(3, -1, 1), ForcedRng())
     assert np.array_equal(pos, x) and np.all(vel == 0.0)
-
-
-def test_cso_forced_update_value():
-    # x_l=1, x_w=0, x_mean=0, v=0, phi=1, randoms 1: v' = -1 - 1 = -2, x' = -1
-    pos, vel = cso_loser_update(np.ones(1), np.zeros(1), np.zeros(1),
-                                np.zeros(1), 1.0, WIDE, ForcedRng())
-    assert vel[0] == pytest.approx(-2.0, abs=1e-15)
-    assert pos[0] == pytest.approx(-1.0, abs=1e-15)
-
-
-def test_cso_matches_loser_with_centroid_as_best():
-    rng_a = np.random.default_rng(3)
-    rng_b = np.random.default_rng(3)
-    x_l, v_l = np.array([0.2, -0.4]), np.array([0.1, 0.0])
-    x_w, x_mean = np.array([1.0, 1.0]), np.array([-0.5, 0.5])
-    b = Bounds.cube(2, -3, 3)
-    got = cso_loser_update(x_l, v_l, x_w, x_mean, 0.15, b, rng_a)
-    want = update_loser(x_l, v_l, x_w, x_mean, 0.15, b, rng_b)
-    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
 def test_update_rejects_length_mismatch():

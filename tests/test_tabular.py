@@ -91,6 +91,14 @@ def test_load_missing_header(tmp_path):
         load_space(path)
 
 
+def test_load_non_integer_edges_names_header(tmp_path):
+    path = _write_lines(tmp_path, [
+        "name=x", "edges=two", "ops=zero,skip",
+        "0,0.5,0.5,1.0", "1,0.5,0.5,1.0"])
+    with pytest.raises(SpaceFormatError, match="edges=.*'two'"):
+        load_space(path)
+
+
 def test_load_wrong_field_count(tmp_path):
     path = _write_lines(tmp_path, [
         "name=x", "edges=1", "ops=zero,skip",
