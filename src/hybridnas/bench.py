@@ -44,7 +44,7 @@ def run_triplet_swarm(fn, bounds: Bounds, budget: int, seed: int,
     generations = budget // config.pop_size
     for _ in range(generations):
         evolve_generation(swarm, fn, config, bounds, rng)
-    return BenchResult("icso", float(swarm.global_best.fitness),
+    return BenchResult("icso", swarm.best_fitness,
                        generations * config.pop_size)
 
 
@@ -58,18 +58,16 @@ def run_pairwise_cso(fn, bounds: Bounds, budget: int, seed: int,
     generations = budget // config.pop_size
     best = math.inf
     for _ in range(generations):
-        for p in swarm.particles:
-            p.fitness = fn(p.position)
-            best = min(best, p.fitness)
-        x_mean = swarm.positions().mean(axis=0)
+        swarm.fitness[:] = [fn(x) for x in swarm.positions]
+        best = min(best, float(swarm.fitness.min()))
+        x_mean = swarm.positions.mean(axis=0)
         perm = rng.permutation(swarm.size)
         for k in range(swarm.size // 2):
             a, b = int(perm[2 * k]), int(perm[2 * k + 1])
-            if swarm.particles[b].fitness < swarm.particles[a].fitness:
+            if swarm.fitness[b] < swarm.fitness[a]:
                 a, b = b, a
-            loser = swarm.particles[b]
-            loser.position, loser.velocity = update_loser(
-                loser.position, loser.velocity, swarm.particles[a].position,
+            swarm.positions[b], swarm.velocities[b] = update_loser(
+                swarm.positions[b], swarm.velocities[b], swarm.positions[a],
                 x_mean, config.phi, bounds, rng)
     return BenchResult("cso", best, generations * config.pop_size)
 

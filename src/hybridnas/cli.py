@@ -39,7 +39,6 @@ class RunConfig:
     space: str = ""
     out: str = "run_out"
     seed: int = 0
-    dataset_seed: int = 1
     log_format: str = "csv"
     timing: bool = False
 
@@ -112,11 +111,16 @@ def _coerce(key: str, raw: str, target_type, line_no: int | None = None):
         raise ValueError(f"bad value for {key}{where}: {raw!r} is not {target_type.__name__}")
 
 
+def _field_types() -> dict[str, type]:
+    defaults = RunConfig()
+    return {f.name: type(getattr(defaults, f.name)) for f in fields(RunConfig)}
+
+
 def parse_config(file_path: str | None, flag_overrides: dict | None = None
                  ) -> RunConfig:
     """Defaults, then file values, then flag overrides."""
     values: dict = {}
-    concrete = {f.name: type(getattr(RunConfig(), f.name)) for f in fields(RunConfig)}
+    concrete = _field_types()
     if file_path:
         with open(file_path, encoding="utf-8") as fh:
             for no, ln in enumerate(fh, start=1):
@@ -130,8 +134,6 @@ def parse_config(file_path: str | None, flag_overrides: dict | None = None
                     raise ValueError(f"unknown config key {key!r} (line {no})")
                 values[key] = _coerce(key, raw, concrete[key], no)
     for key, val in (flag_overrides or {}).items():
-        if val is None:
-            continue
         if key not in concrete:
             raise ValueError(f"unknown config key {key!r}")
         values[key] = val
@@ -223,16 +225,14 @@ def load_genotype(path: str, layout: ArchLayout) -> Genotype:
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", default=None, help="config file path")
     for f in fields(RunConfig):
-        flag = "--" + f.name.replace("_", "-")
-        ftype = type(getattr(RunConfig(), f.name))
-        if ftype is bool:
-            parser.add_argument(flag, default=None, type=lambda s: s.lower() in ("true", "1", "yes"))
-        else:
-            parser.add_argument(flag, default=None, type=ftype)
+        parser.add_argument("--" + f.name.replace("_", "-"), default=None)
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    overrides = {f.name: getattr(args, f.name, None) for f in fields(RunConfig)}
+    """Flag values are coerced like config-file values."""
+    overrides = {key: _coerce(key, getattr(args, key), ftype)
+                 for key, ftype in _field_types().items()
+                 if getattr(args, key) is not None}
     return parse_config(args.config, overrides)
 
 

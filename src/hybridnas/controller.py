@@ -110,10 +110,8 @@ def should_stop(window, epsilon: float, abs_threshold: float,
     return mean < bound
 
 
-def select_best(swarm, base_values: np.ndarray) -> int:
+def select_best(base_values: np.ndarray) -> int:
     """Index of the particle with minimal base fitness; ties go low."""
-    if swarm.size == 0:
-        raise ValueError("swarm is empty")
     base_values = np.asarray(base_values, dtype=float)
     if not np.all(np.isfinite(base_values)):
         raise ValueError("base fitness values must be finite")
@@ -320,8 +318,8 @@ def run_search(config: SearchSettings, backend, seed: int,
             if swarm is None:
                 swarm = init_population(bounds, config.swarm, swarm_rng)
                 # keep the warm-up signal: current alpha enters as one particle
-                elite = np.clip(alpha.encode(), bounds.lower, bounds.upper)
-                swarm.particles[0].position = elite
+                swarm.positions[0] = np.clip(alpha.encode(), bounds.lower,
+                                             bounds.upper)
             eval_batch = None
             for _ in range(config.swarm.generations_per_epoch):
                 eval_batch = backend.make_eval_batch(cfg.batch_size, batch_rng)
@@ -338,15 +336,14 @@ def run_search(config: SearchSettings, backend, seed: int,
                 update_history(history, swarm)
 
             base_vals = [
-                base_fitness(backend.position_loss(p.position, eval_batch)[0],
-                             loss_bounds)
-                for p in swarm.particles]
-            star = select_best(swarm, base_vals)
-            alpha = soft_update_alpha(alpha, swarm.particles[star].position,
+                base_fitness(backend.position_loss(x, eval_batch)[0], loss_bounds)
+                for x in swarm.positions]
+            star = select_best(base_vals)
+            alpha = soft_update_alpha(alpha, swarm.positions[star],
                                       cfg.exploration_eta_alpha, layout)
             backend.train_weight_epoch(alpha, cfg.eta_w, cfg.batch_size, data_rng)
             best_base = float(min(base_vals))
-            best_comb = float(min(p.fitness for p in swarm.particles))
+            best_comb = float(swarm.fitness.min())
             if backend.val_accuracy(alpha) > cfg.stability_threshold:
                 stage = Stage.STABILITY
 

@@ -106,8 +106,7 @@ def update_history(history: HistoryArchive, swarm) -> HistoryArchive:
     which is no better than its triplet winner's (ties: the winner has the
     lower index), so the first minimum is always an unmoved particle.
     """
-    if any(p.fitness is None for p in swarm.particles):
+    if np.isnan(swarm.fitness).any():
         raise ValueError("swarm has no evaluated particles")
-    best = min(swarm.particles, key=lambda p: p.fitness)
-    history.add(best.position)
+    history.add(swarm.positions[np.argmin(swarm.fitness)])
     return history

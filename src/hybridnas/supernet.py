@@ -64,6 +64,10 @@ class ArchLayout:
         unknown = [o for o in self.candidate_ops if o not in KNOWN_OPS]
         if unknown:
             raise ValueError(f"unknown candidate ops: {unknown}")
+        ops = self.candidate_ops
+        dup = sorted({o for o in ops if ops.count(o) > 1})
+        if dup:
+            raise ValueError(f"duplicate candidate ops: {dup}")
 
     @property
     def num_ops(self) -> int:
@@ -196,13 +200,13 @@ def parameter_free_fraction(genotype: Genotype, layout: ArchLayout) -> float:
                      if op in PARAM_FREE_OPS))
 
 
-def edge_weights(alpha_edge: np.ndarray) -> np.ndarray:
-    """Stable softmax over one edge's op scores."""
-    a = np.asarray(alpha_edge, dtype=float)
+def edge_weights(scores: np.ndarray) -> np.ndarray:
+    """Stable softmax over the op scores (the last axis) of every edge."""
+    a = np.asarray(scores, dtype=float)
     if not np.all(np.isfinite(a)):
         raise ValueError("edge scores must be finite")
-    z = np.exp(a - a.max())
-    return z / z.sum()
+    z = np.exp(a - a.max(axis=-1, keepdims=True))
+    return z / z.sum(axis=-1, keepdims=True)
 
 
 @dataclass
@@ -276,8 +280,9 @@ class CellTrace:
     out: np.ndarray           # cell output, concat @ proj_w[cell]
 
 
-def _cell_forward(state: SupernetState, cell: int, alpha_cell: np.ndarray,
+def _cell_forward(state: SupernetState, cell: int, weights: np.ndarray,
                   s: np.ndarray, traces: list[CellTrace] | None):
+    """One cell; ``weights`` are its (edges, ops) mixing weights."""
     layout = state.layout
     slots = layout.param_slots
     nodes = [s, s]
@@ -287,7 +292,7 @@ def _cell_forward(state: SupernetState, cell: int, alpha_cell: np.ndarray,
         acc = np.zeros_like(s)
         for i in range(t + 2):
             x = nodes[i]
-            w = edge_weights(alpha_cell[edge])
+            w = weights[edge]
             outs, pres = [], []
             mixed = np.zeros_like(x)
             for o, op in enumerate(layout.candidate_ops):
@@ -321,9 +326,10 @@ def _forward(state: SupernetState, alpha: ArchParams, x: np.ndarray,
     """Logits; with ``traces`` given, appends one CellTrace per cell."""
     if x.ndim != 2 or x.shape[1] != state.in_dim:
         raise ValueError(f"batch has shape {x.shape}, expected (*, {state.in_dim})")
+    weights = edge_weights(alpha.scores)
     h = x @ state.stem_w + state.stem_b
     for cell in range(2):
-        h = _cell_forward(state, cell, alpha.scores[cell], h, traces)
+        h = _cell_forward(state, cell, weights[cell], h, traces)
     return h @ state.cls_w + state.cls_b
 
 

@@ -1,9 +1,9 @@
 """Triplet-competition swarm optimizer.
 
-Particles are grouped into random triplets each generation.  The winner of a
-triplet is preserved verbatim, the second-best is updated with probability
-0.5 toward the winner and the swarm centroid, and the loser is always
-updated toward the winner and the recorded global best.  The classic
+Each generation the particles are grouped into random triplets.  The winner
+of a triplet is preserved verbatim, the second-best is updated with
+probability 0.5 toward the winner and the swarm centroid, and the loser is
+always updated toward the winner and the recorded global best.  The classic
 pairwise baseline (``bench.run_pairwise_cso``) is ``update_loser`` with the
 swarm centroid in place of the global best.
 """
@@ -11,7 +11,8 @@ swarm centroid in place of the global best.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,43 +65,29 @@ class SwarmConfig:
 
 
 @dataclass
-class Particle:
-    position: np.ndarray
-    velocity: np.ndarray
-    # Value at the most recent evaluation, None before the first.  A particle
-    # moved after evaluation keeps it until the next generation re-evaluates.
-    fitness: float | None = None
-
-    def copy(self) -> "Particle":
-        return Particle(self.position.copy(), self.velocity.copy(), self.fitness)
-
-
-@dataclass
 class Swarm:
-    particles: list[Particle]
-    global_best: Particle | None = None
-    generation_counter: int = 0
-    # Roles assigned in the most recent generation, for instrumentation:
-    # dict with keys "winners", "seconds", "losers", "leftovers".
-    last_roles: dict = field(default_factory=dict)
+    """The population, one row per particle."""
+
+    positions: np.ndarray     # (P, D)
+    velocities: np.ndarray    # (P, D)
+    # Value at the most recent evaluation, NaN before the first.  A particle
+    # moved after evaluation keeps it until the next generation re-evaluates.
+    fitness: np.ndarray       # (P,)
+    best_position: np.ndarray | None = None
+    best_fitness: float = math.inf
 
     @property
     def size(self) -> int:
-        return len(self.particles)
-
-    def positions(self) -> np.ndarray:
-        return np.stack([p.position for p in self.particles])
+        return self.positions.shape[0]
 
 
 def init_population(bounds: Bounds, config: SwarmConfig,
                     rng: np.random.Generator) -> Swarm:
     """Uniform random positions within bounds, zero velocities."""
-    d = bounds.dimension
-    particles = []
-    for _ in range(config.pop_size):
-        pos = rng.uniform(bounds.lower, bounds.upper, size=d)
-        particles.append(Particle(pos, np.zeros(d)))
-    return Swarm(particles)
+    positions = rng.uniform(bounds.lower, bounds.upper,
+                            size=(config.pop_size, bounds.dimension))
+    return Swarm(positions, np.zeros_like(positions),
+                 np.full(config.pop_size, np.nan))
 
 
 def partition_triplets(swarm: Swarm, rng: np.random.Generator
@@ -140,12 +127,21 @@ def clamp_to_bounds(position: np.ndarray, velocity: np.ndarray,
     return clipped, velocity
 
 
-def _check_lengths(*vectors: np.ndarray) -> int:
+def _check_lengths(*vectors: np.ndarray) -> None:
     d = vectors[0].shape[0]
     for v in vectors[1:]:
         if v.shape[0] != d:
             raise ValueError(f"vector length mismatch: {v.shape[0]} != {d}")
-    return d
+
+
+def _learn(x: np.ndarray, v: np.ndarray, x_w: np.ndarray, x_ref: np.ndarray,
+           phi: float, bounds: Bounds, rng: np.random.Generator
+           ) -> tuple[np.ndarray, np.ndarray]:
+    """Move toward the triplet winner and a reference point."""
+    d = x.shape[0]
+    r1, r2, r3 = rng.random(d), rng.random(d), rng.random(d)
+    v_new = r1 * v + r2 * (x_w - x) + phi * r3 * (x_ref - x)
+    return clamp_to_bounds(x + v_new, v_new, bounds)
 
 
 def update_second_best(x_m: np.ndarray, v_m: np.ndarray, x_w: np.ndarray,
@@ -154,22 +150,18 @@ def update_second_best(x_m: np.ndarray, v_m: np.ndarray, x_w: np.ndarray,
                        ) -> tuple[np.ndarray, np.ndarray]:
     """Second-best update: 50% chance of staying put, else learn from the
     triplet winner and the swarm centroid."""
-    d = _check_lengths(x_m, v_m, x_w, x_mean)
+    _check_lengths(x_m, v_m, x_w, x_mean)
     if rng.random() >= 0.5:
         return x_m.copy(), v_m.copy()
-    r1, r2, r3 = rng.random(d), rng.random(d), rng.random(d)
-    v_new = r1 * v_m + r2 * (x_w - x_m) + phi * r3 * (x_mean - x_m)
-    return clamp_to_bounds(x_m + v_new, v_new, bounds)
+    return _learn(x_m, v_m, x_w, x_mean, phi, bounds, rng)
 
 
 def update_loser(x_l: np.ndarray, v_l: np.ndarray, x_w: np.ndarray,
                  x_best: np.ndarray, phi: float, bounds: Bounds,
                  rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Mandatory loser update toward the triplet winner and global best."""
-    d = _check_lengths(x_l, v_l, x_w, x_best)
-    r1, r2, r3 = rng.random(d), rng.random(d), rng.random(d)
-    v_new = r1 * v_l + r2 * (x_w - x_l) + phi * r3 * (x_best - x_l)
-    return clamp_to_bounds(x_l + v_new, v_new, bounds)
+    _check_lengths(x_l, v_l, x_w, x_best)
+    return _learn(x_l, v_l, x_w, x_best, phi, bounds, rng)
 
 
 def _sanitize(value: float, index: int) -> float:
@@ -181,43 +173,38 @@ def _sanitize(value: float, index: int) -> float:
 
 
 def evolve_generation(swarm: Swarm, fitness_fn, config: SwarmConfig,
-                      bounds: Bounds, rng: np.random.Generator) -> Swarm:
+                      bounds: Bounds, rng: np.random.Generator) -> dict:
     """One generation: evaluate, rank triplets, update second-bests/losers.
 
     The centroid and global best are snapshots taken after evaluation and
     before any update; winners and leftovers are carried verbatim.  All
     random draws happen in a fixed serial order, so evaluation could be
-    parallelized without perturbing the trajectory.
+    parallelized without perturbing the trajectory.  Returns the particle
+    indices of each role: "winners", "seconds", "losers", "leftovers".
     """
-    for i, p in enumerate(swarm.particles):
-        p.fitness = _sanitize(fitness_fn(p.position), i)
+    swarm.fitness[:] = [_sanitize(fitness_fn(x), i)
+                        for i, x in enumerate(swarm.positions)]
 
-    for p in swarm.particles:
-        if swarm.global_best is None or p.fitness < swarm.global_best.fitness:
-            swarm.global_best = p.copy()
+    best = int(np.argmin(swarm.fitness))
+    if swarm.fitness[best] < swarm.best_fitness:
+        swarm.best_position = swarm.positions[best].copy()
+        swarm.best_fitness = float(swarm.fitness[best])
 
-    x_mean = swarm.positions().mean(axis=0)
-    x_best = swarm.global_best.position
+    x_mean = swarm.positions.mean(axis=0)
+    x_best = swarm.best_position
 
     triplets, leftovers = partition_triplets(swarm, rng)
     roles = {"winners": [], "seconds": [], "losers": [], "leftovers": leftovers}
     for trip in triplets:
-        fits = tuple(swarm.particles[i].fitness for i in trip)
-        w, m, l = rank_triplet(trip, fits)
+        w, m, l = rank_triplet(trip, tuple(swarm.fitness[list(trip)].tolist()))
         roles["winners"].append(w)
         roles["seconds"].append(m)
         roles["losers"].append(l)
 
-        pm = swarm.particles[m]
-        pm.position, pm.velocity = update_second_best(
-            pm.position, pm.velocity, swarm.particles[w].position,
+        swarm.positions[m], swarm.velocities[m] = update_second_best(
+            swarm.positions[m], swarm.velocities[m], swarm.positions[w],
             x_mean, config.phi, bounds, rng)
-
-        pl = swarm.particles[l]
-        pl.position, pl.velocity = update_loser(
-            pl.position, pl.velocity, swarm.particles[w].position,
+        swarm.positions[l], swarm.velocities[l] = update_loser(
+            swarm.positions[l], swarm.velocities[l], swarm.positions[w],
             x_best, config.phi, bounds, rng)
-
-    swarm.last_roles = roles
-    swarm.generation_counter += 1
-    return swarm
+    return roles

@@ -122,7 +122,10 @@ def load_space(path: str) -> TabularSpace:
             raise SpaceFormatError(f"line {i}: bad genotype key {key!r}")
         if key in table:
             raise SpaceFormatError(f"line {i}: duplicate genotype {key!r}")
-        m = Metrics(float(va), float(ta), float(cost))
+        try:
+            m = Metrics(float(va), float(ta), float(cost))
+        except ValueError as exc:
+            raise SpaceFormatError(f"line {i}: {exc}") from None
         for acc in (m.valid_acc, m.test_acc):
             if not 0.0 <= acc <= 1.0:
                 raise SpaceFormatError(f"line {i}: accuracy {acc} out of range for {key!r}")

@@ -78,14 +78,14 @@ def test_criterion_4_winner_preservation():
     last_best = math.inf
     t0 = time.perf_counter()
     for _ in range(100):
-        before = [p.position.copy() for p in swarm.particles]
-        evolve_generation(swarm, sphere, config, bounds, rng)
-        for idx in swarm.last_roles["winners"] + swarm.last_roles["leftovers"]:
-            if not np.array_equal(swarm.particles[idx].position, before[idx]):
+        before = swarm.positions.copy()
+        roles = evolve_generation(swarm, sphere, config, bounds, rng)
+        for idx in roles["winners"] + roles["leftovers"]:
+            if not np.array_equal(swarm.positions[idx], before[idx]):
                 preserved = False
-        if swarm.global_best.fitness > last_best:
+        if swarm.best_fitness > last_best:
             monotone = False
-        last_best = swarm.global_best.fitness
+        last_best = swarm.best_fitness
     elapsed = time.perf_counter() - t0
     ok = preserved and monotone and elapsed < 5.0
     assert report(4, ok, f"100 generations pop 60: winners bitwise preserved="

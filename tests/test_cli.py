@@ -231,6 +231,28 @@ def test_split_size_not_multiple_of_classes_is_clean_error(tmp_path, capsys):
     assert "n_train=601" in capsys.readouterr().err
 
 
+def test_bad_bool_flag_is_clean_error(tmp_path, capsys):
+    # A bool flag goes through the same parser as a config-file value, so a
+    # typo is rejected instead of silently read as False.
+    out_dir = tmp_path / "run"
+    rc = main_cli(["search", "--timing", "ture", "--max-epochs", "1",
+                   "--out", str(out_dir)])
+    assert rc == 1
+    assert "bad value for timing: 'ture' is not bool" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_unused_seed_flag_is_rejected(tmp_path, capsys):
+    # The data comes from --seed; a second seed that changed nothing is not
+    # accepted.
+    out_dir = tmp_path / "run"
+    rc = main_cli(["search", "--dataset-seed", "2", "--max-epochs", "1",
+                   "--out", str(out_dir)])
+    assert rc != 0
+    assert "unrecognized arguments: --dataset-seed" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_check_grad_command(capsys):
     rc = main_cli(["check-grad", "--num-nodes", "1",
                    "--ops", "zero,skip,linear,tanh_linear",

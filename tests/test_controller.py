@@ -90,22 +90,17 @@ def test_empty_window_rejected():
 
 # ---------------------------------------------------------------- selection
 
-class FakeSwarm:
-    def __init__(self, n):
-        self.size = n
-
-
 def test_select_best_picks_minimum():
-    assert select_best(FakeSwarm(3), np.array([0.3, 0.1, 0.2])) == 1
+    assert select_best(np.array([0.3, 0.1, 0.2])) == 1
 
 
 def test_select_best_ties_go_low():
-    assert select_best(FakeSwarm(3), np.array([0.2, 0.1, 0.1])) == 1
+    assert select_best(np.array([0.2, 0.1, 0.1])) == 1
 
 
 def test_select_best_rejects_nonfinite():
     with pytest.raises(ValueError, match="finite"):
-        select_best(FakeSwarm(2), np.array([0.1, math.nan]))
+        select_best(np.array([0.1, math.nan]))
 
 
 # ---------------------------------------------------------------- soft update

@@ -187,12 +187,11 @@ def test_history_rejects_wrong_dimension():
 def test_update_history_appends_best_particle():
     swarm = init_population(Bounds.cube(2, -1, 1), SwarmConfig(pop_size=3),
                             np.random.default_rng(0))
-    for i, p in enumerate(swarm.particles):
-        p.fitness = float(3 - i)
+    swarm.fitness[:] = [3.0, 2.0, 1.0]
     h = HistoryArchive(dimension=2)
     update_history(h, swarm)
     assert len(h) == 1
-    assert np.array_equal(h.entries[0], swarm.particles[2].position)
+    assert np.array_equal(h.entries[0], swarm.positions[2])
 
 
 def test_update_history_requires_evaluated_particles():
@@ -205,9 +204,8 @@ def test_update_history_requires_evaluated_particles():
 def test_update_history_copies_position():
     swarm = init_population(Bounds.cube(2, -1, 1), SwarmConfig(pop_size=3),
                             np.random.default_rng(0))
-    for p in swarm.particles:
-        p.fitness = 0.0
+    swarm.fitness[:] = 0.0
     h = HistoryArchive(dimension=2)
     update_history(h, swarm)
-    swarm.particles[0].position[:] = 99.0
-    assert not np.array_equal(h.entries[0], swarm.particles[0].position)
+    swarm.positions[0] = 99.0
+    assert not np.array_equal(h.entries[0], swarm.positions[0])

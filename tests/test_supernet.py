@@ -43,6 +43,11 @@ def test_layout_rejects_unknown_ops():
         ArchLayout(2, ("zero", "skip", "conv3x3"))
 
 
+def test_layout_rejects_duplicate_ops():
+    with pytest.raises(ValueError, match=r"duplicate candidate ops: \['linear'\]"):
+        ArchLayout(1, ("linear", "linear", "zero"))
+
+
 def test_edge_list_matches_edge_count():
     edges = LAYOUT.edge_list()
     assert len(edges) == LAYOUT.edges_per_cell
@@ -155,6 +160,18 @@ def test_edge_weights_sum_and_shift_invariance():
         w = edge_weights(a)
         assert abs(w.sum() - 1.0) < 1e-12
         assert np.max(np.abs(edge_weights(a + 123.4) - w)) < 1e-12
+
+
+def test_edge_weights_all_edges_equal_one_edge_at_a_time():
+    # The forward pass takes every edge's softmax in one call; each row must
+    # be bitwise the softmax of that edge alone.
+    rng = np.random.default_rng(2)
+    for o in range(1, 9):
+        scores = rng.normal(0, 5, (2, 7, o))
+        w = edge_weights(scores)
+        for cell in range(2):
+            for e in range(7):
+                assert np.array_equal(w[cell, e], edge_weights(scores[cell, e]))
 
 
 def test_edge_weights_rejects_nonfinite():

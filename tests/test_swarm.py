@@ -182,13 +182,12 @@ def test_constant_fitness_keeps_winners_unchanged():
     b = Bounds.cube(4, -3, 3)
     rng = np.random.default_rng(5)
     swarm = init_population(b, cfg, rng)
-    before = [p.position.copy() for p in swarm.particles]
-    evolve_generation(swarm, lambda x: 1.0, cfg, b, rng)
-    for trip_w in swarm.last_roles["winners"]:
-        assert np.array_equal(swarm.particles[trip_w].position, before[trip_w])
+    before = swarm.positions.copy()
+    roles = evolve_generation(swarm, lambda x: 1.0, cfg, b, rng)
+    for trip_w in roles["winners"]:
+        assert np.array_equal(swarm.positions[trip_w], before[trip_w])
     # tie rule: winner is the lowest index in each triplet
-    for w, m, l in zip(swarm.last_roles["winners"], swarm.last_roles["seconds"],
-                       swarm.last_roles["losers"]):
+    for w, m, l in zip(roles["winners"], roles["seconds"], roles["losers"]):
         assert w == min(w, m, l)
 
 
@@ -197,17 +196,18 @@ def test_nonfinite_fitness_ranks_worst_and_logs(caplog):
     b = Bounds.cube(2, -3, 3)
     rng = np.random.default_rng(0)
     swarm = init_population(b, cfg, rng)
+    first = swarm.positions[0].copy()
 
     def fn(x):
-        return math.nan if x is swarm.particles[0].position else sphere(x)
+        return math.nan if np.array_equal(x, first) else sphere(x)
 
     with caplog.at_level("ERROR"):
         evolve_generation(swarm, fn, cfg, b, rng)
     assert any("non-finite" in r.message for r in caplog.records)
-    assert np.isfinite(swarm.global_best.fitness)
+    assert np.isfinite(swarm.best_fitness)
 
 
-def test_global_best_monotone_and_counter():
+def test_best_fitness_monotone():
     cfg = SwarmConfig(pop_size=12)
     b = Bounds.cube(6, -3, 3)
     rng = np.random.default_rng(11)
@@ -215,9 +215,8 @@ def test_global_best_monotone_and_counter():
     last = math.inf
     for _ in range(20):
         evolve_generation(swarm, sphere, cfg, b, rng)
-        assert swarm.global_best.fitness <= last
-        last = swarm.global_best.fitness
-    assert swarm.generation_counter == 20
+        assert swarm.best_fitness <= last
+        last = swarm.best_fitness
 
 
 def test_positions_stay_in_bounds_across_generations():
@@ -227,7 +226,7 @@ def test_positions_stay_in_bounds_across_generations():
     swarm = init_population(b, cfg, rng)
     for _ in range(15):
         evolve_generation(swarm, sphere, cfg, b, rng)
-        pos = swarm.positions()
+        pos = swarm.positions
         assert np.all(pos >= b.lower) and np.all(pos <= b.upper)
 
 
@@ -238,10 +237,10 @@ def test_eight_generations_improve_on_sphere_most_seeds():
     for seed in range(10):
         rng = np.random.default_rng(seed)
         swarm = init_population(b, cfg, rng)
-        gen0 = min(sphere(p.position) for p in swarm.particles)
+        gen0 = min(sphere(x) for x in swarm.positions)
         for _ in range(8):
             evolve_generation(swarm, sphere, cfg, b, rng)
-        if swarm.global_best.fitness < gen0:
+        if swarm.best_fitness < gen0:
             improved += 1
     assert improved >= 9
 
@@ -255,7 +254,7 @@ def test_evolution_deterministic_for_fixed_seed():
         swarm = init_population(b, cfg, rng)
         for _ in range(5):
             evolve_generation(swarm, sphere, cfg, b, rng)
-        return swarm.positions(), swarm.global_best.fitness
+        return swarm.positions, swarm.best_fitness
 
     p1, f1 = run()
     p2, f2 = run()

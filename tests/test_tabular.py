@@ -99,6 +99,14 @@ def test_load_non_integer_edges_names_header(tmp_path):
         load_space(path)
 
 
+def test_load_non_numeric_field_names_line(tmp_path):
+    path = _write_lines(tmp_path, [
+        "name=x", "edges=1", "ops=zero,skip",
+        "0,0.5,0.5,1.0", "1,abc,0.5,1.0"])
+    with pytest.raises(SpaceFormatError, match="line 5: .*'abc'"):
+        load_space(path)
+
+
 def test_load_wrong_field_count(tmp_path):
     path = _write_lines(tmp_path, [
         "name=x", "edges=1", "ops=zero,skip",
