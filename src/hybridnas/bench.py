@@ -8,12 +8,11 @@ budgets.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .swarm import (Bounds, SwarmConfig, evolve_generation, init_population,
-                    update_loser)
+                    rank_groups, update_loser)
 
 
 def sphere(x: np.ndarray) -> float:
@@ -27,15 +26,8 @@ def rastrigin(x: np.ndarray) -> float:
 TEST_FUNCTIONS = {"sphere": sphere, "rastrigin": rastrigin}
 
 
-@dataclass
-class BenchResult:
-    strategy: str
-    best: float
-    evaluations: int
-
-
 def run_triplet_swarm(fn, bounds: Bounds, budget: int, seed: int,
-                      config: SwarmConfig | None = None) -> BenchResult:
+                      config: SwarmConfig | None = None) -> float:
     """Triplet-competition swarm; one full-population evaluation per
     generation, so generations = budget // pop_size."""
     config = config or SwarmConfig()
@@ -44,12 +36,11 @@ def run_triplet_swarm(fn, bounds: Bounds, budget: int, seed: int,
     generations = budget // config.pop_size
     for _ in range(generations):
         evolve_generation(swarm, fn, config, bounds, rng)
-    return BenchResult("icso", swarm.best_fitness,
-                       generations * config.pop_size)
+    return swarm.best_fitness
 
 
 def run_pairwise_cso(fn, bounds: Bounds, budget: int, seed: int,
-                     config: SwarmConfig | None = None) -> BenchResult:
+                     config: SwarmConfig | None = None) -> float:
     """Classic competitive swarm: random pairs, winner kept, loser updated
     toward the winner and the swarm centroid."""
     config = config or SwarmConfig()
@@ -62,23 +53,21 @@ def run_pairwise_cso(fn, bounds: Bounds, budget: int, seed: int,
         best = min(best, float(swarm.fitness.min()))
         x_mean = swarm.positions.mean(axis=0)
         perm = rng.permutation(swarm.size)
-        for k in range(swarm.size // 2):
-            a, b = int(perm[2 * k]), int(perm[2 * k + 1])
-            if swarm.fitness[b] < swarm.fitness[a]:
-                a, b = b, a
+        pairs = perm[:2 * (swarm.size // 2)].reshape(-1, 2)
+        for a, b in rank_groups(pairs, swarm.fitness):
             swarm.positions[b], swarm.velocities[b] = update_loser(
                 swarm.positions[b], swarm.velocities[b], swarm.positions[a],
                 x_mean, config.phi, bounds, rng)
-    return BenchResult("cso", best, generations * config.pop_size)
+    return best
 
 
-def run_random_search(fn, bounds: Bounds, budget: int, seed: int) -> BenchResult:
+def run_random_search(fn, bounds: Bounds, budget: int, seed: int) -> float:
     rng = np.random.default_rng(seed)
     best = math.inf
     for _ in range(budget):
         x = rng.uniform(bounds.lower, bounds.upper)
         best = min(best, fn(x))
-    return BenchResult("random", best, budget)
+    return best
 
 
 def compare_strategies(fn_name: str, dim: int, budget: int, seeds: list[int],
@@ -90,7 +79,7 @@ def compare_strategies(fn_name: str, dim: int, budget: int, seeds: list[int],
     bounds = Bounds.cube(dim, low, high)
     results: dict[str, list[float]] = {"icso": [], "cso": [], "random": []}
     for seed in seeds:
-        results["icso"].append(run_triplet_swarm(fn, bounds, budget, seed, config).best)
-        results["cso"].append(run_pairwise_cso(fn, bounds, budget, seed, config).best)
-        results["random"].append(run_random_search(fn, bounds, budget, seed).best)
+        results["icso"].append(run_triplet_swarm(fn, bounds, budget, seed, config))
+        results["cso"].append(run_pairwise_cso(fn, bounds, budget, seed, config))
+        results["random"].append(run_random_search(fn, bounds, budget, seed))
     return results

@@ -331,8 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=60 * 8 * 15)
     p.add_argument("--seeds", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--pop-size", type=int, default=60)
-    p.add_argument("--phi", type=float, default=0.15)
+    p.add_argument("--pop-size", type=int, default=SwarmConfig.pop_size)
+    p.add_argument("--phi", type=float, default=SwarmConfig.phi)
     p.add_argument("--bound", type=float, default=3.0)
     p.set_defaults(handler=_cmd_bench)
 
@@ -349,8 +349,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_oracle)
 
     p = sub.add_parser("check-grad", help="finite-difference gradient check")
-    p.add_argument("--num-nodes", type=int, default=2)
-    p.add_argument("--ops", default="zero,skip,linear,relu_linear,tanh_linear")
+    p.add_argument("--num-nodes", type=int, default=ArchLayout.num_nodes)
+    p.add_argument("--ops", default=",".join(DEFAULT_OPS))
     p.add_argument("--feature-dim", type=int, default=16)
     p.add_argument("--batch", type=int, default=8)
     p.add_argument("--seed", type=int, default=0)

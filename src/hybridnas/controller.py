@@ -160,10 +160,6 @@ class SupernetBackend:
         self.state = state
         self.queries_used = 0
 
-    @property
-    def dimension(self) -> int:
-        return self.layout.dimension
-
     def default_loss_bounds(self) -> LossBounds:
         return LossBounds(0.0, math.log(self.state.num_classes))
 
@@ -199,10 +195,8 @@ class SupernetBackend:
             ti = t_order[s * cfg.batch_size:(s + 1) * cfg.batch_size]
             grads = grad_weights(self.state, alpha, tx[ti], ty[ti])
             sgd_step_weights(self.state, grads, cfg.eta_w)
-            vi = v_order[(s * cfg.batch_size) % vx.shape[0]:
-                         (s * cfg.batch_size) % vx.shape[0] + cfg.batch_size]
-            if vi.size == 0:
-                vi = v_order[:cfg.batch_size]
+            start = (s * cfg.batch_size) % vx.shape[0]
+            vi = v_order[start:start + cfg.batch_size]
             ag = grad_alpha(self.state, alpha, vx[vi], vy[vi])
             alpha = ArchParams(alpha.scores - cfg.stability_arch_lr * ag.scores)
         return alpha
@@ -228,10 +222,6 @@ class TabularBackend:
         self.space = space
         self.layout = layout
         self.budget = QueryBudget(queries_max=queries_max)
-
-    @property
-    def dimension(self) -> int:
-        return self.layout.dimension
 
     @property
     def queries_used(self) -> int:
@@ -275,7 +265,7 @@ def run_search(config: SearchSettings, backend, seed: int,
     """
     cfg = config.stage
     layout = backend.layout
-    dim = backend.dimension
+    dim = layout.dimension
     loss_bounds = config.loss_bounds or backend.default_loss_bounds()
     bounds = Bounds.cube(dim, -cfg.swarm_bound, cfg.swarm_bound)
 

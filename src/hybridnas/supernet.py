@@ -81,17 +81,6 @@ class ArchLayout:
     def dimension(self) -> int:
         return param_dimension(self.num_nodes, self.num_ops)
 
-    def edge_list(self) -> list[tuple[int, int]]:
-        """(source node, target node) pairs in flattening order: for each
-        intermediate node in sequence, predecessors in ascending index.
-        Nodes 0 and 1 are the cell inputs; intermediate nodes start at 2."""
-        edges = []
-        for t in range(self.num_nodes):
-            j = t + 2
-            for i in range(j):
-                edges.append((i, j))
-        return edges
-
     @property
     def param_slots(self) -> tuple[int | None, ...]:
         """Per-op index into the weight tensor, None for parameter-free ops."""

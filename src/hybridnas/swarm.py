@@ -4,8 +4,9 @@ Each generation the particles are grouped into random triplets.  The winner
 of a triplet is preserved verbatim, the second-best is updated with
 probability 0.5 toward the winner and the swarm centroid, and the loser is
 always updated toward the winner and the recorded global best.  The classic
-pairwise baseline (``bench.run_pairwise_cso``) is ``update_loser`` with the
-swarm centroid in place of the global best.
+pairwise baseline (``bench.run_pairwise_cso``) ranks random pairs by the
+same rule, ``rank_groups``, and is ``update_loser`` with the swarm centroid
+in place of the global best.
 """
 
 from __future__ import annotations
@@ -90,32 +91,12 @@ def init_population(bounds: Bounds, config: SwarmConfig,
                  np.full(config.pop_size, np.nan))
 
 
-def partition_triplets(swarm: Swarm, rng: np.random.Generator
-                       ) -> tuple[list[tuple[int, int, int]], list[int]]:
-    """Shuffle particle indices and split into triplets plus leftovers.
-
-    Leftover particles (pop_size mod 3) pass to the next generation
-    unchanged, mirroring the winner treatment.
-    """
-    perm = rng.permutation(swarm.size)
-    n_trip = swarm.size // 3
-    triplets = [tuple(int(i) for i in perm[3 * k:3 * k + 3]) for k in range(n_trip)]
-    leftovers = [int(i) for i in perm[3 * n_trip:]]
-    return triplets, leftovers
-
-
-def rank_triplet(indices: tuple[int, int, int],
-                 fitness_values: tuple[float, float, float]
-                 ) -> tuple[int, int, int]:
-    """Order a triplet as (winner, second_best, loser) by ascending fitness.
-
-    Ties break toward the lower particle index.
-    """
-    for v in fitness_values:
-        if not np.isfinite(v):
-            raise ValueError(f"non-finite fitness in triplet: {fitness_values}")
-    order = sorted(range(3), key=lambda k: (fitness_values[k], indices[k]))
-    return indices[order[0]], indices[order[1]], indices[order[2]]
+def rank_groups(groups: np.ndarray, fitness: np.ndarray) -> np.ndarray:
+    """Sort each row of particle indices by ascending fitness, ties toward
+    the lower particle index: column 0 holds the winner, the last column
+    the loser."""
+    order = np.lexsort((groups, fitness[groups]))
+    return np.take_along_axis(groups, order, axis=1)
 
 
 def clamp_to_bounds(position: np.ndarray, velocity: np.ndarray,
@@ -193,18 +174,16 @@ def evolve_generation(swarm: Swarm, fitness_fn, config: SwarmConfig,
     x_mean = swarm.positions.mean(axis=0)
     x_best = swarm.best_position
 
-    triplets, leftovers = partition_triplets(swarm, rng)
-    roles = {"winners": [], "seconds": [], "losers": [], "leftovers": leftovers}
-    for trip in triplets:
-        w, m, l = rank_triplet(trip, tuple(swarm.fitness[list(trip)].tolist()))
-        roles["winners"].append(w)
-        roles["seconds"].append(m)
-        roles["losers"].append(l)
-
+    perm = rng.permutation(swarm.size)
+    n_grouped = 3 * (swarm.size // 3)
+    ranked = rank_groups(perm[:n_grouped].reshape(-1, 3), swarm.fitness)
+    for w, m, l in ranked:
         swarm.positions[m], swarm.velocities[m] = update_second_best(
             swarm.positions[m], swarm.velocities[m], swarm.positions[w],
             x_mean, config.phi, bounds, rng)
         swarm.positions[l], swarm.velocities[l] = update_loser(
             swarm.positions[l], swarm.velocities[l], swarm.positions[w],
             x_best, config.phi, bounds, rng)
-    return roles
+    winners, seconds, losers = ranked.T.tolist()
+    return {"winners": winners, "seconds": seconds, "losers": losers,
+            "leftovers": perm[n_grouped:].tolist()}

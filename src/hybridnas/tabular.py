@@ -103,8 +103,10 @@ def load_space(path: str) -> TabularSpace:
             raise SpaceFormatError(f"missing header line '{req}='")
     try:
         num_edges = int(header["edges"])
+        if num_edges < 1:
+            raise ValueError
     except ValueError:
-        raise SpaceFormatError(f"header 'edges=' must be an integer, "
+        raise SpaceFormatError(f"header 'edges=' must be a positive integer, "
                                f"got {header['edges']!r}") from None
     op_names = tuple(o.strip() for o in header["ops"].split(","))
 
@@ -131,8 +133,7 @@ def load_space(path: str) -> TabularSpace:
                 raise SpaceFormatError(f"line {i}: accuracy {acc} out of range for {key!r}")
         table[key] = m
 
-    expected = num_edges and len(op_names) ** num_edges
-    if len(table) != expected:
+    if len(table) != len(op_names) ** num_edges:
         for combo in _all_keys(num_edges, len(op_names)):
             if genotype_key(combo) not in table:
                 raise SpaceFormatError(f"missing genotype {genotype_key(combo)!r}")

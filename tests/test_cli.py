@@ -5,11 +5,12 @@ import os
 
 import pytest
 
-from hybridnas.cli import (EpochLogger, RunConfig, export_genotype,
-                           load_genotype, main_cli, parse_config, parse_log,
-                           serialize_config)
+from hybridnas.cli import (EpochLogger, RunConfig, build_parser,
+                           export_genotype, load_genotype, main_cli,
+                           parse_config, parse_log, serialize_config)
 from hybridnas.controller import EpochRecord
-from hybridnas.supernet import ArchLayout, Genotype
+from hybridnas.supernet import DEFAULT_OPS, ArchLayout, Genotype
+from hybridnas.swarm import SwarmConfig
 
 
 def write(tmp_path, name, text):
@@ -267,6 +268,14 @@ def test_bench_command_small(capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "icso" in out and "cso" in out and "random" in out
+
+
+def test_subcommand_defaults_match_library():
+    bench = build_parser().parse_args(["bench"])
+    assert (bench.pop_size, bench.phi) == (SwarmConfig().pop_size, SwarmConfig().phi)
+    grad = build_parser().parse_args(["check-grad"])
+    assert grad.num_nodes == ArchLayout().num_nodes
+    assert tuple(grad.ops.split(",")) == ArchLayout().candidate_ops == DEFAULT_OPS
 
 
 def test_search_reproducible_tabular(tmp_path):

@@ -48,12 +48,6 @@ def test_layout_rejects_duplicate_ops():
         ArchLayout(1, ("linear", "linear", "zero"))
 
 
-def test_edge_list_matches_edge_count():
-    edges = LAYOUT.edge_list()
-    assert len(edges) == LAYOUT.edges_per_cell
-    assert edges == [(0, 2), (1, 2), (0, 3), (1, 3), (2, 3)]
-
-
 # ---------------------------------------------------------------- encode/decode
 
 def test_encode_length_is_dimension():

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hybridnas.bench import run_pairwise_cso
 from hybridnas.swarm import (Bounds, SwarmConfig, clamp_to_bounds,
-                             evolve_generation, init_population,
-                             partition_triplets, rank_triplet, update_loser,
-                             update_second_best)
+                             evolve_generation, init_population, rank_groups,
+                             update_loser, update_second_best)
 
 
 class ForcedRng:
@@ -52,54 +52,76 @@ def test_config_validation():
 
 # ---------------------------------------------------------------- partitioning
 
+def roles_of_one_generation(pop, seed=1):
+    cfg = SwarmConfig(pop_size=pop)
+    b = Bounds.cube(2, -1, 1)
+    swarm = init_population(b, cfg, np.random.default_rng(0))
+    return evolve_generation(swarm, lambda x: float(np.dot(x, x)), cfg, b,
+                             np.random.default_rng(seed))
+
+
 def test_pop60_gives_20_triplets_no_leftovers():
-    swarm = init_population(Bounds.cube(3, -1, 1), SwarmConfig(pop_size=60),
-                            np.random.default_rng(0))
-    triplets, leftovers = partition_triplets(swarm, np.random.default_rng(1))
-    assert len(triplets) == 20
-    assert leftovers == []
-    seen = sorted(i for t in triplets for i in t)
+    roles = roles_of_one_generation(60)
+    assert len(roles["winners"]) == 20
+    assert roles["leftovers"] == []
+    seen = sorted(roles["winners"] + roles["seconds"] + roles["losers"])
     assert seen == list(range(60))
 
 
 def test_pop3_single_triplet_covers_all():
-    swarm = init_population(Bounds.cube(2, -1, 1), SwarmConfig(pop_size=3),
-                            np.random.default_rng(0))
-    triplets, leftovers = partition_triplets(swarm, np.random.default_rng(7))
-    assert len(triplets) == 1 and leftovers == []
-    assert sorted(triplets[0]) == [0, 1, 2]
+    roles = roles_of_one_generation(3, seed=7)
+    assert roles["leftovers"] == []
+    assert sorted(roles["winners"] + roles["seconds"] + roles["losers"]) == [0, 1, 2]
 
 
 def test_leftovers_pop_not_divisible():
-    swarm = init_population(Bounds.cube(2, -1, 1), SwarmConfig(pop_size=5),
-                            np.random.default_rng(0))
-    triplets, leftovers = partition_triplets(swarm, np.random.default_rng(7))
-    assert len(triplets) == 1 and len(leftovers) == 2
+    roles = roles_of_one_generation(5, seed=7)
+    assert len(roles["winners"]) == 1 and len(roles["leftovers"]) == 2
 
 
 # ---------------------------------------------------------------- ranking
 
-def test_rank_triplet_orders_by_fitness():
-    assert rank_triplet((4, 7, 9), (0.5, 0.1, 0.3)) == (7, 9, 4)
+def test_rank_groups_orders_by_fitness():
+    fitness = np.zeros(10)
+    fitness[[4, 7, 9]] = [0.5, 0.1, 0.3]
+    assert rank_groups(np.array([[4, 7, 9]]), fitness).tolist() == [[7, 9, 4]]
 
 
-def test_rank_triplet_ties_go_low_index():
-    assert rank_triplet((9, 2, 5), (1.0, 1.0, 1.0)) == (2, 5, 9)
+def test_rank_groups_ties_go_low_index():
+    ranked = rank_groups(np.array([[9, 2, 5]]), np.ones(10))
+    assert ranked.tolist() == [[2, 5, 9]]
+    pairs = np.array([[3, 1], [0, 2], [5, 4]])
+    assert rank_groups(pairs, np.ones(6)).tolist() == [[1, 3], [0, 2], [4, 5]]
 
 
-def test_rank_triplet_nan_rejected():
-    with pytest.raises(ValueError, match="non-finite"):
-        rank_triplet((0, 1, 2), (0.1, float("nan"), 0.3))
+@given(st.permutations(range(6)), st.sampled_from([2, 3]),
+       st.lists(st.floats(-1e6, 1e6), min_size=6, max_size=6, unique=True))
+def test_rank_groups_is_sorted_permutation(order, k, fits):
+    fitness = np.array(fits)
+    groups = np.array(order).reshape(-1, k)
+    ranked = rank_groups(groups, fitness)
+    assert np.array_equal(np.sort(ranked, axis=1), np.sort(groups, axis=1))
+    assert np.all(np.diff(fitness[ranked], axis=1) >= 0)
 
 
-@given(st.permutations([0, 1, 2]),
-       st.lists(st.floats(-1e6, 1e6), min_size=3, max_size=3, unique=True))
-def test_rank_triplet_is_sorted_permutation(order, fits):
-    idx = (10 + order[0], 10 + order[1], 10 + order[2])
-    w, m, l = rank_triplet(idx, tuple(fits))
-    assert sorted((w, m, l)) == sorted(idx)
-    by = {i: f for i, f in zip(idx, fits)}
-    assert by[w] <= by[m] <= by[l]
+def test_pairwise_cso_ties_move_higher_index():
+    # On a constant function every pair ties: the lower index wins, so only
+    # the higher-index particle of each pair moves.
+    cfg = SwarmConfig(pop_size=8)
+    b = Bounds.cube(3, -3, 3)
+    rng = np.random.default_rng(4)
+    start = init_population(b, cfg, rng).positions
+    # The run draws its first pairs right after the initial positions.
+    pairs = rng.permutation(cfg.pop_size).reshape(-1, 2)
+    evaluated = []
+
+    def constant(x):
+        evaluated.append(x.copy())
+        return 1.0
+
+    run_pairwise_cso(constant, b, 2 * cfg.pop_size, 4, cfg)
+    moved = np.nonzero(np.any(np.array(evaluated[cfg.pop_size:]) != start, axis=1))[0]
+    assert moved.tolist() == sorted(pairs.max(axis=1).tolist())
 
 
 # ---------------------------------------------------------------- clamping
@@ -264,9 +286,7 @@ def test_evolution_deterministic_for_fixed_seed():
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=3, max_value=20), st.integers(0, 1000))
 def test_partition_is_always_a_partition(pop, seed):
-    swarm = init_population(Bounds.cube(2, -1, 1), SwarmConfig(pop_size=pop),
-                            np.random.default_rng(0))
-    triplets, leftovers = partition_triplets(swarm, np.random.default_rng(seed))
-    flat = [i for t in triplets for i in t] + leftovers
+    roles = roles_of_one_generation(pop, seed)
+    flat = roles["winners"] + roles["seconds"] + roles["losers"] + roles["leftovers"]
     assert sorted(flat) == list(range(pop))
-    assert len(leftovers) == pop % 3
+    assert len(roles["leftovers"]) == pop % 3

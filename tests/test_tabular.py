@@ -92,11 +92,13 @@ def test_load_missing_header(tmp_path):
 
 
 def test_load_non_integer_edges_names_header(tmp_path):
-    path = _write_lines(tmp_path, [
-        "name=x", "edges=two", "ops=zero,skip",
-        "0,0.5,0.5,1.0", "1,0.5,0.5,1.0"])
-    with pytest.raises(SpaceFormatError, match="edges=.*'two'"):
-        load_space(path)
+    # Counts below 1 are rejected the same way, naming the header.
+    for edges, rows in (("two", ["0,0.5,0.5,1.0", "1,0.5,0.5,1.0"]),
+                        ("0", []), ("-2", [])):
+        path = _write_lines(tmp_path, ["name=x", f"edges={edges}",
+                                       "ops=zero,skip"] + rows)
+        with pytest.raises(SpaceFormatError, match=f"edges=.*'{edges}'"):
+            load_space(path)
 
 
 def test_load_non_numeric_field_names_line(tmp_path):
