@@ -11,8 +11,8 @@ import math
 
 import numpy as np
 
-from .swarm import (Bounds, SwarmConfig, evolve_generation, init_population,
-                    rank_groups, update_loser)
+from .swarm import (Bounds, SwarmConfig, _sanitize, evolve_generation,
+                    init_population, rank_groups, update_loser)
 
 
 def sphere(x: np.ndarray) -> float:
@@ -49,7 +49,8 @@ def run_pairwise_cso(fn, bounds: Bounds, budget: int, seed: int,
     generations = budget // config.pop_size
     best = math.inf
     for _ in range(generations):
-        swarm.fitness[:] = [fn(x) for x in swarm.positions]
+        swarm.fitness[:] = [_sanitize(fn(x), i)
+                            for i, x in enumerate(swarm.positions)]
         best = min(best, float(swarm.fitness.min()))
         x_mean = swarm.positions.mean(axis=0)
         perm = rng.permutation(swarm.size)

@@ -78,8 +78,7 @@ class RunConfig:
     max_epochs: int = StageConfig.max_total_epochs
 
     def layout(self) -> ArchLayout:
-        names = tuple(o.strip() for o in self.ops.split(",") if o.strip())
-        return ArchLayout(self.num_nodes, names)
+        return _parse_layout(self.num_nodes, self.ops)
 
     def settings(self) -> SearchSettings:
         lb = None
@@ -94,6 +93,13 @@ class RunConfig:
         return SearchSettings(stage=build(StageConfig), swarm=build(SwarmConfig),
                               weights=build(FitnessWeights), loss_bounds=lb,
                               history_capacity=self.history_capacity)
+
+
+def _parse_layout(num_nodes: int, ops: str) -> ArchLayout:
+    """``ops`` is comma-separated; names are stripped and empty entries
+    dropped, so a trailing comma is allowed."""
+    return ArchLayout(num_nodes, tuple(o.strip() for o in ops.split(",")
+                                       if o.strip()))
 
 
 def _coerce(key: str, raw: str, target_type, line_no: int | None = None):
@@ -287,8 +293,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen_space(args: argparse.Namespace) -> int:
-    names = tuple(o.strip() for o in args.ops.split(","))
-    layout = ArchLayout(args.num_nodes, names)
+    layout = _parse_layout(args.num_nodes, args.ops)
     space = generate_space(layout, args.seed, name=args.name)
     save_space(space, args.out)
     print(f"wrote {space.size} genotypes to {args.out}")
@@ -306,8 +311,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def _cmd_check_grad(args: argparse.Namespace) -> int:
-    names = tuple(o.strip() for o in args.ops.split(","))
-    layout = ArchLayout(args.num_nodes, names)
+    layout = _parse_layout(args.num_nodes, args.ops)
     state, alpha, x, y = make_gradcheck_problem(
         layout, args.seed, batch=args.batch, feature_dim=args.feature_dim)
     res = check_gradients(state, alpha, x, y)

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .supernet import (ArchLayout, ArchParams, SupernetState, loss,
-                       loss_and_grads)
+from .supernet import (_ACTIVATIONS, ArchLayout, ArchParams, SupernetState,
+                       forward, loss, loss_and_grads)
 
 
 @dataclass
@@ -33,6 +33,8 @@ def _rel_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
 
 
 def _central_diff(eval_at, vec: np.ndarray, step: float) -> np.ndarray:
+    """Perturb ``vec`` in place, one coordinate at a time, and difference
+    ``eval_at()``; ``vec`` is restored."""
     grad = np.zeros_like(vec)
     for i in range(vec.size):
         orig = vec[i]
@@ -51,15 +53,13 @@ def min_kink_distance(state: SupernetState, alpha: ArchParams,
     pass.  Central differences are wrong when a perturbation crosses a
     kink, so checks should only run where this distance is comfortably
     larger than the step."""
-    from .supernet import _forward
-
     traces: list = []
-    _forward(state, alpha, np.asarray(x, dtype=float), traces)
+    forward(state, alpha, x, traces)
     dist = np.inf
     for trace in traces:
         for _, _, _, _, pres in trace.edges:
             for op, pre in zip(state.layout.candidate_ops, pres):
-                if pre is not None and op in ("relu_linear", "abs_linear"):
+                if pre is not None and _ACTIVATIONS[op][2]:
                     dist = min(dist, float(np.min(np.abs(pre))))
     return dist
 
@@ -87,29 +87,15 @@ def check_gradients(state: SupernetState, alpha: ArchParams, x: np.ndarray,
     """Compare every weight and alpha coordinate against central
     finite differences."""
     _, wgrads, agrad = loss_and_grads(state, alpha, x, y)
-    analytic_w = np.concatenate([wgrads[n].ravel() for n in SupernetState._ARRAYS])
-    analytic_a = agrad.encode()
-
     probe = state.copy()
-    flat = probe.flat_weights()
-
-    def eval_weights():
-        probe.set_flat_weights(flat)
-        return loss(probe, alpha, x, y)
-
-    numeric_w = _central_diff(eval_weights, flat, step)
-    probe.set_flat_weights(flat)
-
-    avec = alpha.encode()
-
-    def eval_alpha():
-        return loss(state, ArchParams.decode(avec, state.layout), x, y)
-
-    numeric_a = _central_diff(eval_alpha, avec, step)
-
+    numeric_w = _central_diff(lambda: loss(probe, alpha, x, y),
+                              probe.weights, step)
+    probe_alpha = ArchParams(alpha.scores.copy())
+    numeric_a = _central_diff(lambda: loss(state, probe_alpha, x, y),
+                              probe_alpha.scores.reshape(-1), step)
     return GradCheckResult(
-        max_rel_error_weights=_rel_error(analytic_w, numeric_w),
-        max_rel_error_alpha=_rel_error(analytic_a, numeric_a),
-        num_weight_coords=analytic_w.size,
-        num_alpha_coords=analytic_a.size,
+        max_rel_error_weights=_rel_error(wgrads.weights, numeric_w),
+        max_rel_error_alpha=_rel_error(agrad.encode(), numeric_a),
+        num_weight_coords=wgrads.weights.size,
+        num_alpha_coords=agrad.scores.size,
     )

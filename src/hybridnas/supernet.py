@@ -20,17 +20,21 @@ from dataclasses import dataclass
 import numpy as np
 
 # Candidate operation registry.  "zero" and "skip" are parameter-free; the
-# rest apply a dense transform followed by an elementwise activation.
+# rest apply a dense transform followed by an elementwise activation.  Each
+# entry is (activation, derivative, kinked); a kinked activation has a point
+# where its derivative jumps, which central differences must not straddle.
 _ACTIVATIONS = {
-    "linear": (lambda z: z, lambda z: np.ones_like(z)),
-    "relu_linear": (lambda z: np.maximum(z, 0.0), lambda z: (z > 0).astype(float)),
-    "tanh_linear": (np.tanh, lambda z: 1.0 - np.tanh(z) ** 2),
+    "linear": (lambda z: z, lambda z: np.ones_like(z), False),
+    "relu_linear": (lambda z: np.maximum(z, 0.0), lambda z: (z > 0).astype(float),
+                    True),
+    "tanh_linear": (np.tanh, lambda z: 1.0 - np.tanh(z) ** 2, False),
     "sigmoid_linear": (
         lambda z: 1.0 / (1.0 + np.exp(-z)),
         lambda z: (s := 1.0 / (1.0 + np.exp(-z))) * (1.0 - s),
+        False,
     ),
-    "abs_linear": (np.abs, np.sign),
-    "sin_linear": (np.sin, np.cos),
+    "abs_linear": (np.abs, np.sign, True),
+    "sin_linear": (np.sin, np.cos, False),
 }
 
 PARAM_FREE_OPS = ("zero", "skip")
@@ -61,6 +65,8 @@ class ArchLayout:
     def __post_init__(self):
         if self.num_nodes < 1:
             raise ValueError("num_nodes must be >= 1")
+        if not self.candidate_ops:
+            raise ValueError("candidate_ops must name at least one op")
         unknown = [o for o in self.candidate_ops if o not in KNOWN_OPS]
         if unknown:
             raise ValueError(f"unknown candidate ops: {unknown}")
@@ -198,63 +204,56 @@ def edge_weights(scores: np.ndarray) -> np.ndarray:
     return z / z.sum(axis=-1, keepdims=True)
 
 
-@dataclass
 class SupernetState:
-    """All trainable weights plus the topology."""
+    """The topology plus every trainable weight in one flat float64 vector,
+    ``weights``.  The named arrays stem_w, stem_b, op_w, op_b, proj_w, cls_w
+    and cls_b are views into it, in that order; write into them in place,
+    never rebind them.  A weight gradient is a state of the same topology."""
 
-    layout: ArchLayout
-    feature_dim: int
-    num_classes: int
-    in_dim: int
-    stem_w: np.ndarray
-    stem_b: np.ndarray
-    op_w: np.ndarray      # (2, edges_per_cell, num_param_ops, F, F)
-    op_b: np.ndarray      # (2, edges_per_cell, num_param_ops, F)
-    proj_w: np.ndarray    # (2, num_nodes * F, F)
-    cls_w: np.ndarray
-    cls_b: np.ndarray
-
-    _ARRAYS = ("stem_w", "stem_b", "op_w", "op_b", "proj_w", "cls_w", "cls_b")
+    def __init__(self, layout: ArchLayout, feature_dim: int, num_classes: int,
+                 in_dim: int):
+        """All weights zero."""
+        self.layout = layout
+        self.feature_dim = f = feature_dim
+        self.num_classes = num_classes
+        self.in_dim = in_dim
+        k = layout.edges_per_cell
+        p = max(layout.num_param_ops, 1)
+        shapes = ((in_dim, f), (f,),                   # stem_w, stem_b
+                  (2, k, p, f, f), (2, k, p, f),       # op_w, op_b
+                  (2, layout.num_nodes * f, f),        # proj_w
+                  (f, num_classes), (num_classes,))    # cls_w, cls_b
+        sizes = [math.prod(shape) for shape in shapes]
+        self.weights = np.zeros(sum(sizes))
+        views, off = [], 0
+        for shape, size in zip(shapes, sizes):
+            views.append(self.weights[off:off + size].reshape(shape))
+            off += size
+        (self.stem_w, self.stem_b, self.op_w, self.op_b, self.proj_w,
+         self.cls_w, self.cls_b) = views
 
     @classmethod
     def init(cls, layout: ArchLayout, rng: np.random.Generator,
              feature_dim: int = 16, num_classes: int = 3,
              in_dim: int = 2) -> "SupernetState":
+        """He-normal weights, drawn in this order; zero biases."""
+        state = cls(layout, feature_dim, num_classes, in_dim)
         f = feature_dim
-        k = layout.edges_per_cell
-        p = max(layout.num_param_ops, 1)
-        return cls(
-            layout=layout, feature_dim=f, num_classes=num_classes, in_dim=in_dim,
-            stem_w=rng.normal(0, math.sqrt(2.0 / in_dim), (in_dim, f)),
-            stem_b=np.zeros(f),
-            op_w=rng.normal(0, math.sqrt(2.0 / f), (2, k, p, f, f)),
-            op_b=np.zeros((2, k, p, f)),
-            proj_w=rng.normal(0, math.sqrt(2.0 / (layout.num_nodes * f)),
-                              (2, layout.num_nodes * f, f)),
-            cls_w=rng.normal(0, math.sqrt(2.0 / f), (f, num_classes)),
-            cls_b=np.zeros(num_classes),
-        )
+        for view, fan_in in ((state.stem_w, in_dim), (state.op_w, f),
+                             (state.proj_w, layout.num_nodes * f),
+                             (state.cls_w, f)):
+            view[...] = rng.normal(0, math.sqrt(2.0 / fan_in), view.shape)
+        return state
+
+    def like(self) -> "SupernetState":
+        """A state of the same topology with all weights zero."""
+        return SupernetState(self.layout, self.feature_dim, self.num_classes,
+                             self.in_dim)
 
     def copy(self) -> "SupernetState":
-        return SupernetState(self.layout, self.feature_dim, self.num_classes,
-                             self.in_dim,
-                             *(getattr(self, n).copy() for n in self._ARRAYS))
-
-    def flat_weights(self) -> np.ndarray:
-        return np.concatenate([getattr(self, n).ravel() for n in self._ARRAYS])
-
-    def set_flat_weights(self, vec: np.ndarray) -> None:
-        off = 0
-        for n in self._ARRAYS:
-            arr = getattr(self, n)
-            arr[...] = vec[off:off + arr.size].reshape(arr.shape)
-            off += arr.size
-        if off != vec.size:
-            raise ValueError(f"flat weight vector has length {vec.size}, expected {off}")
-
-
-def _zero_grads(state: SupernetState) -> dict[str, np.ndarray]:
-    return {n: np.zeros_like(getattr(state, n)) for n in SupernetState._ARRAYS}
+        out = self.like()
+        out.weights[...] = self.weights
+        return out
 
 
 @dataclass
@@ -310,21 +309,19 @@ def _cell_forward(state: SupernetState, cell: int, weights: np.ndarray,
     return out
 
 
-def _forward(state: SupernetState, alpha: ArchParams, x: np.ndarray,
-             traces: list[CellTrace] | None = None) -> np.ndarray:
-    """Logits; with ``traces`` given, appends one CellTrace per cell."""
-    if x.ndim != 2 or x.shape[1] != state.in_dim:
-        raise ValueError(f"batch has shape {x.shape}, expected (*, {state.in_dim})")
+def forward(state: SupernetState, alpha: ArchParams, x: np.ndarray,
+            traces: list[CellTrace] | None = None) -> np.ndarray:
+    """Logits for a non-empty (n, in_dim) batch; with ``traces`` given,
+    appends one CellTrace per cell."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2 or x.shape[0] == 0 or x.shape[1] != state.in_dim:
+        raise ValueError(f"batch has shape {x.shape}, expected a non-empty "
+                         f"(n, {state.in_dim}) array")
     weights = edge_weights(alpha.scores)
     h = x @ state.stem_w + state.stem_b
     for cell in range(2):
         h = _cell_forward(state, cell, weights[cell], h, traces)
     return h @ state.cls_w + state.cls_b
-
-
-def forward(state: SupernetState, alpha: ArchParams, x: np.ndarray) -> np.ndarray:
-    """Logits for a batch of feature vectors."""
-    return _forward(state, alpha, np.asarray(x, dtype=float))
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -336,23 +333,20 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
 def loss(state: SupernetState, alpha: ArchParams, x: np.ndarray,
          y: np.ndarray) -> float:
     """Mean cross-entropy over the batch."""
-    x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=int)
-    if x.shape[0] == 0:
-        raise ValueError("batch must be non-empty")
-    logp = _log_softmax(_forward(state, alpha, x))
+    logp = _log_softmax(forward(state, alpha, x))
     return float(-logp[np.arange(y.size), y].mean())
 
 
 def _cell_backward(state: SupernetState, cell: int, d_out: np.ndarray,
-                   trace: CellTrace, wgrads: dict, agrad_cell: np.ndarray
-                   ) -> np.ndarray:
+                   trace: CellTrace, wgrads: SupernetState,
+                   agrad_cell: np.ndarray) -> np.ndarray:
     layout = state.layout
     slots = layout.param_slots
     nodes = trace.nodes
     f = state.feature_dim
 
-    wgrads["proj_w"][cell] += trace.concat.T @ d_out
+    wgrads.proj_w[cell] += trace.concat.T @ d_out
     d_concat = d_out @ state.proj_w[cell].T
     d_nodes = [np.zeros_like(nodes[0]) for _ in nodes]
     for t in range(layout.num_nodes):
@@ -374,8 +368,8 @@ def _cell_backward(state: SupernetState, cell: int, d_out: np.ndarray,
                     d_x += w[o] * d_acc
                 else:
                     d_pre = (w[o] * d_acc) * _ACTIVATIONS[op][1](pres[o])
-                    wgrads["op_w"][cell, edge, slots[o]] += x.T @ d_pre
-                    wgrads["op_b"][cell, edge, slots[o]] += d_pre.sum(axis=0)
+                    wgrads.op_w[cell, edge, slots[o]] += x.T @ d_pre
+                    wgrads.op_b[cell, edge, slots[o]] += d_pre.sum(axis=0)
                     d_x += d_pre @ state.op_w[cell, edge, slots[o]].T
             agrad_cell[edge] += w * (g - float(w @ g))
             d_nodes[i] += d_x
@@ -385,38 +379,37 @@ def _cell_backward(state: SupernetState, cell: int, d_out: np.ndarray,
 
 def loss_and_grads(state: SupernetState, alpha: ArchParams, x: np.ndarray,
                    y: np.ndarray
-                   ) -> tuple[float, dict[str, np.ndarray], ArchParams]:
-    """Loss plus exact reverse-mode gradients w.r.t. weights and alpha."""
+                   ) -> tuple[float, SupernetState, ArchParams]:
+    """Loss plus exact reverse-mode gradients w.r.t. weights (a state of
+    the same topology) and alpha."""
+    traces: list[CellTrace] = []
+    logits = forward(state, alpha, x, traces)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=int)
-    if x.shape[0] == 0:
-        raise ValueError("batch must be non-empty")
-    traces: list[CellTrace] = []
-    logits = _forward(state, alpha, x, traces)
     logp = _log_softmax(logits)
     n = y.size
     loss_val = float(-logp[np.arange(n), y].mean())
 
-    wgrads = _zero_grads(state)
+    wgrads = state.like()
     agrad = ArchParams.zeros(state.layout)
 
     d_logits = np.exp(logp)
     d_logits[np.arange(n), y] -= 1.0
     d_logits /= n
 
-    wgrads["cls_w"] += traces[1].out.T @ d_logits
-    wgrads["cls_b"] += d_logits.sum(axis=0)
+    wgrads.cls_w += traces[1].out.T @ d_logits
+    wgrads.cls_b += d_logits.sum(axis=0)
     d_h = d_logits @ state.cls_w.T
     for cell in (1, 0):
         d_h = _cell_backward(state, cell, d_h, traces[cell], wgrads,
                              agrad.scores[cell])
-    wgrads["stem_w"] += x.T @ d_h
-    wgrads["stem_b"] += d_h.sum(axis=0)
+    wgrads.stem_w += x.T @ d_h
+    wgrads.stem_b += d_h.sum(axis=0)
     return loss_val, wgrads, agrad
 
 
 def grad_weights(state: SupernetState, alpha: ArchParams, x: np.ndarray,
-                 y: np.ndarray) -> dict[str, np.ndarray]:
+                 y: np.ndarray) -> SupernetState:
     return loss_and_grads(state, alpha, x, y)[1]
 
 
@@ -425,29 +418,22 @@ def grad_alpha(state: SupernetState, alpha: ArchParams, x: np.ndarray,
     return loss_and_grads(state, alpha, x, y)[2]
 
 
-def sgd_step_weights(state: SupernetState, grads: dict[str, np.ndarray],
+def sgd_step_weights(state: SupernetState, grads: SupernetState,
                      eta_w: float) -> SupernetState:
-    """In-place gradient step on all weight arrays."""
+    """In-place gradient step on all weights."""
     if eta_w <= 0:
         raise ValueError(f"eta_w must be positive, got {eta_w}")
-    for name in SupernetState._ARRAYS:
-        arr = getattr(state, name)
-        g = grads[name]
-        if g.shape != arr.shape:
-            raise ValueError(f"gradient shape mismatch for {name}: "
-                             f"{g.shape} != {arr.shape}")
-        arr -= eta_w * g
+    if grads.weights.shape != state.weights.shape:
+        raise ValueError(f"gradient shape {grads.weights.shape} != weight "
+                         f"shape {state.weights.shape}")
+    state.weights -= eta_w * grads.weights
     return state
 
 
 def validation_accuracy(state: SupernetState, alpha: ArchParams,
                         x: np.ndarray, y: np.ndarray) -> float:
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=int)
-    if x.shape[0] == 0:
-        raise ValueError("split must be non-empty")
     pred = forward(state, alpha, x).argmax(axis=1)
-    return float((pred == y).mean())
+    return float((pred == np.asarray(y, dtype=int)).mean())
 
 
 @dataclass

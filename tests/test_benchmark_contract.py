@@ -7,6 +7,7 @@ enters and exits the tracer's bindings.  ``run.py`` itself is not imported,
 because it sets environment variables at import.
 """
 
+import math
 import sys
 from pathlib import Path
 
@@ -27,3 +28,20 @@ def test_tracer_bindings_resolve():
     for backend in (controller.SupernetBackend, controller.TabularBackend):
         for name in ("position_loss", "train_weight_epoch", "stability_epoch"):
             assert callable(getattr(backend, name, None)), (backend.__name__, name)
+
+
+def test_supernet_backend_builds_and_scores():
+    # The benchmark builds a supernet backend through ``SupernetState.init``
+    # and scores held-out data with ``validation_accuracy``.
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    from hybridnas.supernet import ArchParams, validation_accuracy
+
+    workload = workloads.WORKLOADS["supernet-default"]
+    backend = workloads.build_supernet_backend(workload, 0)
+    acc = validation_accuracy(backend.state, ArchParams.zeros(workload.layout),
+                              *workloads.heldout_split(0))
+    assert math.isfinite(acc) and 0.0 <= acc <= 1.0

@@ -254,6 +254,27 @@ def test_unused_seed_flag_is_rejected(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+def test_empty_ops_rejected_before_run(tmp_path, capsys):
+    out_dir = tmp_path / "run"
+    rc = main_cli(["search", "--ops", ",", "--out", str(out_dir)])
+    assert rc == 1
+    assert "candidate_ops" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_trailing_comma_in_ops_accepted_by_every_command(tmp_path, capsys):
+    # One --ops rule for all subcommands: names are stripped and empty
+    # entries dropped.
+    rc = main_cli(["gen-space", "--ops", "zero,skip,", "--out",
+                   str(tmp_path / "space.txt")])
+    assert rc == 0
+    assert "16 genotypes" in capsys.readouterr().out
+    rc = main_cli(["check-grad", "--num-nodes", "1", "--ops",
+                   "zero,skip,linear,", "--feature-dim", "4", "--batch", "4"])
+    assert rc == 0
+    assert "max relative error" in capsys.readouterr().out
+
+
 def test_check_grad_command(capsys):
     rc = main_cli(["check-grad", "--num-nodes", "1",
                    "--ops", "zero,skip,linear,tanh_linear",

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hybridnas.cli import main_cli
 from hybridnas.gradcheck import (check_gradients, make_gradcheck_problem,
                                  min_kink_distance)
-from hybridnas.supernet import (ArchLayout, ArchParams, Genotype,
+from hybridnas.supernet import (_ACTIVATIONS, ArchLayout, ArchParams, Genotype,
                                 SupernetState, SyntheticDataset, discretize,
                                 edge_weights, forward, loss, loss_and_grads,
                                 op_frequencies, param_dimension,
@@ -177,8 +178,7 @@ def test_edge_weights_rejects_nonfinite():
 
 def _zeroed_state():
     state = SupernetState.init(LAYOUT, np.random.default_rng(0))
-    for name in SupernetState._ARRAYS:
-        getattr(state, name)[...] = 0.0
+    state.weights[:] = 0
     return state
 
 
@@ -239,8 +239,7 @@ def test_duplicated_batch_gives_identical_gradients():
     x2 = np.concatenate([x, x])
     y2 = np.concatenate([y, y])
     _, w2, a2 = loss_and_grads(state, alpha, x2, y2)
-    for name in SupernetState._ARRAYS:
-        assert np.allclose(w1[name], w2[name], atol=1e-12)
+    assert np.allclose(w1.weights, w2.weights, atol=1e-12)
     assert np.allclose(a1.encode(), a2.encode(), atol=1e-12)
 
 
@@ -252,6 +251,24 @@ def test_gradcheck_small_layout():
     assert res.max_rel_error < 1e-5
 
 
+def test_gradcheck_catches_wrong_derivative(monkeypatch, capsys):
+    # The oracle must be able to fail: give tanh the derivative of identity.
+    act, _, kinked = _ACTIVATIONS["tanh_linear"]
+    monkeypatch.setitem(_ACTIVATIONS, "tanh_linear",
+                        (act, lambda z: np.ones_like(z), kinked))
+    layout = ArchLayout(1, ("zero", "skip", "linear", "tanh_linear"))
+    state, alpha, x, y = make_gradcheck_problem(layout, seed=0, batch=4,
+                                                feature_dim=4)
+    res = check_gradients(state, alpha, x, y)
+    assert res.max_rel_error_weights > 1e-5
+    assert res.max_rel_error_alpha > 1e-5
+    rc = main_cli(["check-grad", "--num-nodes", "1",
+                   "--ops", "zero,skip,linear,tanh_linear",
+                   "--feature-dim", "4", "--batch", "4"])
+    assert rc == 1
+    assert "max relative error" in capsys.readouterr().out
+
+
 def test_gradcheck_problem_avoids_kinks():
     state, alpha, x, y = make_gradcheck_problem(LAYOUT, seed=0, batch=4)
     assert min_kink_distance(state, alpha, x) > 50 * 1e-4
@@ -259,33 +276,37 @@ def test_gradcheck_problem_avoids_kinks():
 
 def test_sgd_zero_gradient_is_noop():
     state = SupernetState.init(LAYOUT, np.random.default_rng(0))
-    before = state.flat_weights()
-    grads = {n: np.zeros_like(getattr(state, n)) for n in SupernetState._ARRAYS}
-    sgd_step_weights(state, grads, 0.025)
-    assert np.array_equal(state.flat_weights(), before)
+    before = state.weights.copy()
+    sgd_step_weights(state, state.like(), 0.025)
+    assert np.array_equal(state.weights, before)
 
 
 def test_sgd_unit_step_on_self_zeroes_weights():
     state = SupernetState.init(LAYOUT, np.random.default_rng(0))
-    grads = {n: getattr(state, n).copy() for n in SupernetState._ARRAYS}
-    sgd_step_weights(state, grads, 1.0)
-    assert np.all(state.flat_weights() == 0.0)
+    sgd_step_weights(state, state.copy(), 1.0)
+    assert np.all(state.weights == 0.0)
 
 
 def test_sgd_rejects_shape_mismatch():
     state = SupernetState.init(LAYOUT, np.random.default_rng(0))
-    grads = {n: np.zeros_like(getattr(state, n)) for n in SupernetState._ARRAYS}
-    grads["cls_b"] = np.zeros(99)
-    with pytest.raises(ValueError, match="cls_b"):
+    grads = SupernetState(ArchLayout(1), 16, 3, 2)
+    with pytest.raises(ValueError, match="shape"):
         sgd_step_weights(state, grads, 0.025)
 
 
-def test_flat_weights_round_trip():
+def test_named_arrays_are_views_of_weights():
     state = SupernetState.init(LAYOUT, np.random.default_rng(4))
-    vec = state.flat_weights()
-    other = SupernetState.init(LAYOUT, np.random.default_rng(5))
-    other.set_flat_weights(vec)
-    assert np.array_equal(other.flat_weights(), vec)
+    names = ("stem_w", "stem_b", "op_w", "op_b", "proj_w", "cls_w", "cls_b")
+    views = [getattr(state, n) for n in names]
+    assert sum(v.size for v in views) == state.weights.size
+    before = state.weights.copy()
+    other = state.copy()
+    state.weights[:] = np.arange(state.weights.size)
+    assert np.array_equal(np.concatenate([v.ravel() for v in views]),
+                          state.weights)
+    assert np.array_equal(other.weights, before)
+    assert np.array_equal(np.concatenate([getattr(other, n).ravel()
+                                          for n in names]), before)
 
 
 # ---------------------------------------------------------------- data

@@ -124,6 +124,22 @@ def test_pairwise_cso_ties_move_higher_index():
     assert moved.tolist() == sorted(pairs.max(axis=1).tolist())
 
 
+def test_pairwise_cso_survives_nonfinite_fitness(caplog):
+    # Every sixth evaluation is NaN.  Like the triplet swarm, the baseline
+    # logs it and ranks it last, so the best value found stays finite.
+    calls = []
+
+    def flaky_sphere(x):
+        calls.append(1)
+        return math.nan if len(calls) % 6 == 0 else sphere(x)
+
+    with caplog.at_level("ERROR"):
+        best = run_pairwise_cso(flaky_sphere, Bounds.cube(3, -3, 3), 600, 0,
+                                SwarmConfig(pop_size=6))
+    assert any("non-finite" in r.message for r in caplog.records)
+    assert best < 1e-3
+
+
 # ---------------------------------------------------------------- clamping
 
 def test_clamp_inside_unchanged():
