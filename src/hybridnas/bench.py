@@ -11,8 +11,8 @@ import math
 
 import numpy as np
 
-from .swarm import (Bounds, SwarmConfig, _sanitize, evolve_generation,
-                    init_population, rank_groups, update_loser)
+from .swarm import (SwarmConfig, _sanitize, evolve_generation, init_population,
+                    rank_groups, update_loser)
 
 
 def sphere(x: np.ndarray) -> float:
@@ -26,26 +26,26 @@ def rastrigin(x: np.ndarray) -> float:
 TEST_FUNCTIONS = {"sphere": sphere, "rastrigin": rastrigin}
 
 
-def run_triplet_swarm(fn, bounds: Bounds, budget: int, seed: int,
+def run_triplet_swarm(fn, dim: int, budget: int, seed: int,
                       config: SwarmConfig | None = None) -> float:
     """Triplet-competition swarm; one full-population evaluation per
     generation, so generations = budget // pop_size."""
     config = config or SwarmConfig()
     rng = np.random.default_rng(seed)
-    swarm = init_population(bounds, config, rng)
+    swarm = init_population(dim, config, rng)
     generations = budget // config.pop_size
     for _ in range(generations):
-        evolve_generation(swarm, fn, config, bounds, rng)
+        evolve_generation(swarm, fn, config, rng)
     return swarm.best_fitness
 
 
-def run_pairwise_cso(fn, bounds: Bounds, budget: int, seed: int,
+def run_pairwise_cso(fn, dim: int, budget: int, seed: int,
                      config: SwarmConfig | None = None) -> float:
     """Classic competitive swarm: random pairs, winner kept, loser updated
     toward the winner and the swarm centroid."""
     config = config or SwarmConfig()
     rng = np.random.default_rng(seed)
-    swarm = init_population(bounds, config, rng)
+    swarm = init_population(dim, config, rng)
     generations = budget // config.pop_size
     best = math.inf
     for _ in range(generations):
@@ -58,29 +58,32 @@ def run_pairwise_cso(fn, bounds: Bounds, budget: int, seed: int,
         for a, b in rank_groups(pairs, swarm.fitness):
             swarm.positions[b], swarm.velocities[b] = update_loser(
                 swarm.positions[b], swarm.velocities[b], swarm.positions[a],
-                x_mean, config.phi, bounds, rng)
+                x_mean, config.phi, config.swarm_bound, rng)
     return best
 
 
-def run_random_search(fn, bounds: Bounds, budget: int, seed: int) -> float:
+def run_random_search(fn, dim: int, budget: int, seed: int,
+                      bound: float) -> float:
+    """Uniform samples from the cube [-bound, bound]^dim."""
     rng = np.random.default_rng(seed)
     best = math.inf
     for _ in range(budget):
-        x = rng.uniform(bounds.lower, bounds.upper)
+        x = rng.uniform(-bound, bound, dim)
         best = min(best, fn(x))
     return best
 
 
 def compare_strategies(fn_name: str, dim: int, budget: int, seeds: list[int],
-                       low: float = -3.0, high: float = 3.0,
                        config: SwarmConfig | None = None
                        ) -> dict[str, list[float]]:
-    """Best-of-run per seed for each strategy, at equal budget."""
+    """Best-of-run per seed for each strategy, at equal budget, all in the
+    cube [-config.swarm_bound, config.swarm_bound]^dim."""
     fn = TEST_FUNCTIONS[fn_name]
-    bounds = Bounds.cube(dim, low, high)
+    config = config or SwarmConfig()
     results: dict[str, list[float]] = {"icso": [], "cso": [], "random": []}
     for seed in seeds:
-        results["icso"].append(run_triplet_swarm(fn, bounds, budget, seed, config))
-        results["cso"].append(run_pairwise_cso(fn, bounds, budget, seed, config))
-        results["random"].append(run_random_search(fn, bounds, budget, seed))
+        results["icso"].append(run_triplet_swarm(fn, dim, budget, seed, config))
+        results["cso"].append(run_pairwise_cso(fn, dim, budget, seed, config))
+        results["random"].append(run_random_search(fn, dim, budget, seed,
+                                                   config.swarm_bound))
     return results

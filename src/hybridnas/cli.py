@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass, fields
@@ -19,7 +18,7 @@ import numpy as np
 from .bench import compare_strategies
 from .controller import (EpochRecord, SearchSettings, StageConfig, StopMode,
                          SupernetBackend, TabularBackend, run_search)
-from .fitness import FitnessWeights, LossBounds
+from .fitness import FitnessWeights
 from .gradcheck import check_gradients, make_gradcheck_problem
 from .runtime import RandomStream
 from .supernet import (DEFAULT_OPS, ArchLayout, Genotype, SupernetState,
@@ -54,14 +53,12 @@ class RunConfig:
     pop_size: int = SwarmConfig.pop_size
     phi: float = SwarmConfig.phi
     generations_per_epoch: int = SwarmConfig.generations_per_epoch
-    swarm_bound: float = StageConfig.swarm_bound
+    swarm_bound: float = SwarmConfig.swarm_bound
 
     # fitness
     lambda_swarm: float = FitnessWeights.lambda_swarm
     lambda_op: float = FitnessWeights.lambda_op
     history_capacity: int = SearchSettings.history_capacity
-    loss_min: float = math.nan   # nan: backend default bounds
-    loss_max: float = math.nan
 
     # stages
     warmup_epochs: int = StageConfig.warmup_epochs
@@ -81,9 +78,6 @@ class RunConfig:
         return _parse_layout(self.num_nodes, self.ops)
 
     def settings(self) -> SearchSettings:
-        lb = None
-        if not (math.isnan(self.loss_min) or math.isnan(self.loss_max)):
-            lb = LossBounds(self.loss_min, self.loss_max)
         values = vars(self) | {"max_total_epochs": self.max_epochs,
                                "stop_mode": StopMode(self.stop_mode)}
 
@@ -91,7 +85,7 @@ class RunConfig:
             return cls(**{f.name: values[f.name] for f in fields(cls)})
 
         return SearchSettings(stage=build(StageConfig), swarm=build(SwarmConfig),
-                              weights=build(FitnessWeights), loss_bounds=lb,
+                              weights=build(FitnessWeights),
                               history_capacity=self.history_capacity)
 
 
@@ -283,9 +277,9 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     seeds = [args.seed + i for i in range(args.seeds)]
-    config = SwarmConfig(pop_size=args.pop_size, phi=args.phi)
-    results = compare_strategies(args.fn, args.dim, args.budget, seeds,
-                                 low=-args.bound, high=args.bound, config=config)
+    config = SwarmConfig(pop_size=args.pop_size, phi=args.phi,
+                         swarm_bound=args.bound)
+    results = compare_strategies(args.fn, args.dim, args.budget, seeds, config)
     for name, vals in results.items():
         med = float(np.median(vals))
         print(f"{name:8s} median_best={med:.6g} runs={len(vals)}")
@@ -337,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--pop-size", type=int, default=SwarmConfig.pop_size)
     p.add_argument("--phi", type=float, default=SwarmConfig.phi)
-    p.add_argument("--bound", type=float, default=3.0)
+    p.add_argument("--bound", type=float, default=SwarmConfig.swarm_bound)
     p.set_defaults(handler=_cmd_bench)
 
     p = sub.add_parser("gen-space", help="emit a synthetic tabular space")

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 
 import numpy as np
@@ -26,7 +26,7 @@ from .supernet import (ArchLayout, ArchParams, Genotype, SupernetState,
                        SyntheticDataset, discretize, grad_alpha, grad_weights,
                        loss, op_frequencies, sgd_step_weights,
                        validation_accuracy)
-from .swarm import Bounds, SwarmConfig, evolve_generation, init_population
+from .swarm import SwarmConfig, evolve_generation, init_population
 from .tabular import QueryBudget, TabularSpace, evaluate_position, query
 
 
@@ -34,7 +34,6 @@ class Stage(str, Enum):
     WARMUP = "warmup"
     EXPLORATION = "exploration"
     STABILITY = "stability"
-    DONE = "done"
 
 
 class StopMode(str, Enum):
@@ -62,13 +61,16 @@ class StageConfig:
     abs_alpha_threshold: float = 1e-3
     stop_mode: StopMode = StopMode.STRICT
     max_total_epochs: int = 100
-    swarm_bound: float = 3.0
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if self.warmup_epochs < 0:
             raise ValueError("warmup_epochs must be >= 0")
         for name in ("batch_size", "eta_w", "min_stability_epochs", "window_n",
-                     "max_total_epochs", "swarm_bound"):
+                     "max_total_epochs"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if not 0.0 <= self.exploration_eta_alpha <= 1.0:
@@ -252,22 +254,22 @@ class SearchSettings:
     stage: StageConfig = field(default_factory=StageConfig)
     swarm: SwarmConfig = field(default_factory=SwarmConfig)
     weights: FitnessWeights = field(default_factory=FitnessWeights)
-    loss_bounds: LossBounds | None = None    # None: backend default
     history_capacity: int = 200
 
 
 def run_search(config: SearchSettings, backend, seed: int,
                timing: bool = False) -> SearchResult:
-    """Execute warm-up, exploration and stability in order.
+    """Execute warm-up, exploration and stability in order, together at
+    most ``max_total_epochs`` epochs.
 
     Fully reproducible from the seed; wall-clock is recorded only when
     ``timing`` is set so default logs are byte-stable across runs.
     """
     cfg = config.stage
+    cap = cfg.max_total_epochs
     layout = backend.layout
     dim = layout.dimension
-    loss_bounds = config.loss_bounds or backend.default_loss_bounds()
-    bounds = Bounds.cube(dim, -cfg.swarm_bound, cfg.swarm_bound)
+    loss_bounds = backend.default_loss_bounds()
 
     root = RandomStream(seed)
     swarm_rng = root.substream("swarm").generator
@@ -275,94 +277,78 @@ def run_search(config: SearchSettings, backend, seed: int,
     data_rng = root.substream("stability").generator
 
     alpha = ArchParams.zeros(layout)
-    swarm = None
-    history = HistoryArchive(dim, config.history_capacity)
-    window: deque[float] = deque(maxlen=cfg.window_n)
     records: list[EpochRecord] = []
-    epsilon = hoeffding_epsilon(dim, cfg.confidence_delta, cfg.window_n)
-
-    stage = Stage.WARMUP
-    warmup_done = 0
-    stability_done = 0
-    termination = Termination.MAX_EPOCHS
-    epoch = 0
 
     def clock():
         return time.perf_counter() if timing else 0.0
 
-    if cfg.warmup_epochs == 0:
-        stage = Stage.EXPLORATION
-
-    while epoch < cfg.max_total_epochs and stage is not Stage.DONE:
-        t0 = clock()
-        stage_executed = stage
-        best_base = best_comb = v_t = eps_out = None
-
-        if stage is Stage.WARMUP:
-            backend.train_weight_epoch(alpha, cfg.eta_w, cfg.batch_size, data_rng)
-            warmup_done += 1
-            if warmup_done >= cfg.warmup_epochs:
-                stage = Stage.EXPLORATION
-
-        elif stage is Stage.EXPLORATION:
-            if swarm is None:
-                swarm = init_population(bounds, config.swarm, swarm_rng)
-                # keep the warm-up signal: current alpha enters as one particle
-                swarm.positions[0] = np.clip(alpha.encode(), bounds.lower,
-                                             bounds.upper)
-            eval_batch = None
-            for _ in range(config.swarm.generations_per_epoch):
-                eval_batch = backend.make_eval_batch(cfg.batch_size, batch_rng)
-
-                def combined_fn(position, _batch=eval_batch):
-                    loss_val, genotype = backend.position_loss(position, _batch)
-                    b = base_fitness(loss_val, loss_bounds)
-                    sd = swarm_diversity(position, history)
-                    od = entropy_diversity(op_frequencies(genotype, layout))
-                    return combined_fitness(b, sd, od, config.weights)
-
-                evolve_generation(swarm, combined_fn, config.swarm, bounds,
-                                  swarm_rng)
-                update_history(history, swarm)
-
-            base_vals = [
-                base_fitness(backend.position_loss(x, eval_batch)[0], loss_bounds)
-                for x in swarm.positions]
-            star = select_best(base_vals)
-            alpha = soft_update_alpha(alpha, swarm.positions[star],
-                                      cfg.exploration_eta_alpha, layout)
-            backend.train_weight_epoch(alpha, cfg.eta_w, cfg.batch_size, data_rng)
-            best_base = float(min(base_vals))
-            best_comb = float(swarm.fitness.min())
-            if backend.val_accuracy(alpha) > cfg.stability_threshold:
-                stage = Stage.STABILITY
-
-        elif stage is Stage.STABILITY:
-            prev = alpha.encode()
-            alpha = backend.stability_epoch(alpha, cfg, data_rng)
-            v_t = float(np.linalg.norm(alpha.encode() - prev))
-            window.append(v_t)
-            stability_done += 1
-            eps_out = epsilon
-            if (stability_done >= cfg.min_stability_epochs
-                    and len(window) == cfg.window_n
-                    and should_stop(window, epsilon, cfg.abs_alpha_threshold,
-                                    cfg.stop_mode)):
-                stage = Stage.DONE
-                termination = Termination.EARLY_STOP
-
-        epoch += 1
+    def record(stage: Stage, t0: float, best_base=None, best_comb=None,
+               v_t=None, epsilon=None) -> None:
+        # val_accuracy first: the tabular backend charges it as a query
+        acc = backend.val_accuracy(alpha)
         records.append(EpochRecord(
-            epoch=epoch,
-            stage=stage_executed.value,
-            best_base_fitness=best_base,
-            best_combined_fitness=best_comb,
-            validation_accuracy=backend.val_accuracy(alpha),
-            v_t=v_t,
-            epsilon=eps_out,
+            epoch=len(records) + 1, stage=stage.value,
+            best_base_fitness=best_base, best_combined_fitness=best_comb,
+            validation_accuracy=acc, v_t=v_t, epsilon=epsilon,
             queries_used=backend.queries_used,
-            wall_ms=int(round((clock() - t0) * 1000)),
-        ))
+            wall_ms=int(round((clock() - t0) * 1000))))
+
+    for _ in range(min(cfg.warmup_epochs, cap)):
+        t0 = clock()
+        backend.train_weight_epoch(alpha, cfg.eta_w, cfg.batch_size, data_rng)
+        record(Stage.WARMUP, t0)
+
+    stable = False
+    if len(records) < cap:
+        swarm = init_population(dim, config.swarm, swarm_rng)
+        # keep the warm-up signal: current alpha enters as one particle
+        bound = config.swarm.swarm_bound
+        swarm.positions[0] = np.clip(alpha.encode(), -bound, bound)
+        history = HistoryArchive(dim, config.history_capacity)
+    while not stable and len(records) < cap:
+        t0 = clock()
+        for _ in range(config.swarm.generations_per_epoch):
+            eval_batch = backend.make_eval_batch(cfg.batch_size, batch_rng)
+
+            def combined_fn(position):
+                loss_val, genotype = backend.position_loss(position, eval_batch)
+                b = base_fitness(loss_val, loss_bounds)
+                sd = swarm_diversity(position, history)
+                od = entropy_diversity(op_frequencies(genotype, layout))
+                return combined_fitness(b, sd, od, config.weights)
+
+            evolve_generation(swarm, combined_fn, config.swarm, swarm_rng)
+            update_history(history, swarm)
+
+        base_vals = [
+            base_fitness(backend.position_loss(x, eval_batch)[0], loss_bounds)
+            for x in swarm.positions]
+        star = select_best(base_vals)
+        alpha = soft_update_alpha(alpha, swarm.positions[star],
+                                  cfg.exploration_eta_alpha, layout)
+        backend.train_weight_epoch(alpha, cfg.eta_w, cfg.batch_size, data_rng)
+        stable = backend.val_accuracy(alpha) > cfg.stability_threshold
+        record(Stage.EXPLORATION, t0, best_base=float(min(base_vals)),
+               best_comb=float(swarm.fitness.min()))
+
+    termination = Termination.MAX_EPOCHS
+    epsilon = hoeffding_epsilon(dim, cfg.confidence_delta, cfg.window_n)
+    window: deque[float] = deque(maxlen=cfg.window_n)
+    done = 0
+    while stable and len(records) < cap:
+        t0 = clock()
+        prev = alpha.encode()
+        alpha = backend.stability_epoch(alpha, cfg, data_rng)
+        v_t = float(np.linalg.norm(alpha.encode() - prev))
+        window.append(v_t)
+        done += 1
+        record(Stage.STABILITY, t0, v_t=v_t, epsilon=epsilon)
+        if (done >= cfg.min_stability_epochs
+                and len(window) == cfg.window_n
+                and should_stop(window, epsilon, cfg.abs_alpha_threshold,
+                                cfg.stop_mode)):
+            termination = Termination.EARLY_STOP
+            break
 
     return SearchResult(genotype=discretize(alpha), alpha=alpha,
                         records=records, termination=termination)

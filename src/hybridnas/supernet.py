@@ -324,6 +324,16 @@ def forward(state: SupernetState, alpha: ArchParams, x: np.ndarray,
     return h @ state.cls_w + state.cls_b
 
 
+def _labels(state: SupernetState, y, n: int) -> np.ndarray:
+    """``y`` as an array of ``n`` integer labels in [0, num_classes)."""
+    y = np.asarray(y)
+    if (y.shape != (n,) or y.dtype.kind not in "iu"
+            or y.min() < 0 or y.max() >= state.num_classes):
+        raise ValueError(f"labels must be {n} integers in "
+                         f"[0, {state.num_classes}), one per batch row")
+    return y
+
+
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
     m = logits.max(axis=1, keepdims=True)
     z = logits - m
@@ -333,8 +343,8 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
 def loss(state: SupernetState, alpha: ArchParams, x: np.ndarray,
          y: np.ndarray) -> float:
     """Mean cross-entropy over the batch."""
-    y = np.asarray(y, dtype=int)
     logp = _log_softmax(forward(state, alpha, x))
+    y = _labels(state, y, logp.shape[0])
     return float(-logp[np.arange(y.size), y].mean())
 
 
@@ -385,9 +395,9 @@ def loss_and_grads(state: SupernetState, alpha: ArchParams, x: np.ndarray,
     traces: list[CellTrace] = []
     logits = forward(state, alpha, x, traces)
     x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=int)
+    n = x.shape[0]
+    y = _labels(state, y, n)
     logp = _log_softmax(logits)
-    n = y.size
     loss_val = float(-logp[np.arange(n), y].mean())
 
     wgrads = state.like()
@@ -433,7 +443,7 @@ def sgd_step_weights(state: SupernetState, grads: SupernetState,
 def validation_accuracy(state: SupernetState, alpha: ArchParams,
                         x: np.ndarray, y: np.ndarray) -> float:
     pred = forward(state, alpha, x).argmax(axis=1)
-    return float((pred == np.asarray(y, dtype=int)).mean())
+    return float((pred == _labels(state, y, pred.shape[0])).mean())
 
 
 @dataclass

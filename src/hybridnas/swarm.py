@@ -25,36 +25,12 @@ _WORST_FITNESS = 1e300
 
 
 @dataclass
-class Bounds:
-    """Box bounds of the search space."""
-
-    lower: np.ndarray
-    upper: np.ndarray
-
-    def __post_init__(self):
-        self.lower = np.asarray(self.lower, dtype=float)
-        self.upper = np.asarray(self.upper, dtype=float)
-        if self.lower.shape != self.upper.shape:
-            raise ValueError("lower and upper bounds differ in shape")
-        bad = np.nonzero(~(self.lower < self.upper))[0]
-        if bad.size:
-            raise ValueError(f"invalid bounds on dimension {bad[0]}: "
-                             f"lower={self.lower[bad[0]]} >= upper={self.upper[bad[0]]}")
-
-    @property
-    def dimension(self) -> int:
-        return self.lower.shape[0]
-
-    @classmethod
-    def cube(cls, dim: int, low: float, high: float) -> "Bounds":
-        return cls(np.full(dim, low), np.full(dim, high))
-
-
-@dataclass
 class SwarmConfig:
     pop_size: int = 60
     phi: float = 0.15
     generations_per_epoch: int = 8
+    # Positions live in the cube [-swarm_bound, swarm_bound]^D.
+    swarm_bound: float = 3.0
 
     def __post_init__(self):
         if self.pop_size < 3:
@@ -63,6 +39,9 @@ class SwarmConfig:
             raise ValueError(f"phi must lie in [0, 1], got {self.phi}")
         if self.generations_per_epoch < 1:
             raise ValueError("generations_per_epoch must be positive")
+        if not 0.0 < self.swarm_bound < math.inf:
+            raise ValueError(f"swarm_bound must be positive and finite, "
+                             f"got {self.swarm_bound}")
 
 
 @dataclass
@@ -82,11 +61,11 @@ class Swarm:
         return self.positions.shape[0]
 
 
-def init_population(bounds: Bounds, config: SwarmConfig,
+def init_population(dim: int, config: SwarmConfig,
                     rng: np.random.Generator) -> Swarm:
-    """Uniform random positions within bounds, zero velocities."""
-    positions = rng.uniform(bounds.lower, bounds.upper,
-                            size=(config.pop_size, bounds.dimension))
+    """Uniform random positions in the swarm's cube, zero velocities."""
+    b = config.swarm_bound
+    positions = rng.uniform(-b, b, size=(config.pop_size, dim))
     return Swarm(positions, np.zeros_like(positions),
                  np.full(config.pop_size, np.nan))
 
@@ -100,9 +79,10 @@ def rank_groups(groups: np.ndarray, fitness: np.ndarray) -> np.ndarray:
 
 
 def clamp_to_bounds(position: np.ndarray, velocity: np.ndarray,
-                    bounds: Bounds) -> tuple[np.ndarray, np.ndarray]:
-    """Clip the position into the box; zero velocity on clipped coordinates."""
-    clipped = np.clip(position, bounds.lower, bounds.upper)
+                    bound: float) -> tuple[np.ndarray, np.ndarray]:
+    """Clip the position into [-bound, bound]; zero velocity on clipped
+    coordinates."""
+    clipped = np.clip(position, -bound, bound)
     moved = clipped != position
     velocity = np.where(moved, 0.0, velocity)
     return clipped, velocity
@@ -116,17 +96,17 @@ def _check_lengths(*vectors: np.ndarray) -> None:
 
 
 def _learn(x: np.ndarray, v: np.ndarray, x_w: np.ndarray, x_ref: np.ndarray,
-           phi: float, bounds: Bounds, rng: np.random.Generator
+           phi: float, bound: float, rng: np.random.Generator
            ) -> tuple[np.ndarray, np.ndarray]:
     """Move toward the triplet winner and a reference point."""
     d = x.shape[0]
     r1, r2, r3 = rng.random(d), rng.random(d), rng.random(d)
     v_new = r1 * v + r2 * (x_w - x) + phi * r3 * (x_ref - x)
-    return clamp_to_bounds(x + v_new, v_new, bounds)
+    return clamp_to_bounds(x + v_new, v_new, bound)
 
 
 def update_second_best(x_m: np.ndarray, v_m: np.ndarray, x_w: np.ndarray,
-                       x_mean: np.ndarray, phi: float, bounds: Bounds,
+                       x_mean: np.ndarray, phi: float, bound: float,
                        rng: np.random.Generator
                        ) -> tuple[np.ndarray, np.ndarray]:
     """Second-best update: 50% chance of staying put, else learn from the
@@ -134,15 +114,15 @@ def update_second_best(x_m: np.ndarray, v_m: np.ndarray, x_w: np.ndarray,
     _check_lengths(x_m, v_m, x_w, x_mean)
     if rng.random() >= 0.5:
         return x_m.copy(), v_m.copy()
-    return _learn(x_m, v_m, x_w, x_mean, phi, bounds, rng)
+    return _learn(x_m, v_m, x_w, x_mean, phi, bound, rng)
 
 
 def update_loser(x_l: np.ndarray, v_l: np.ndarray, x_w: np.ndarray,
-                 x_best: np.ndarray, phi: float, bounds: Bounds,
+                 x_best: np.ndarray, phi: float, bound: float,
                  rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Mandatory loser update toward the triplet winner and global best."""
     _check_lengths(x_l, v_l, x_w, x_best)
-    return _learn(x_l, v_l, x_w, x_best, phi, bounds, rng)
+    return _learn(x_l, v_l, x_w, x_best, phi, bound, rng)
 
 
 def _sanitize(value: float, index: int) -> float:
@@ -154,7 +134,7 @@ def _sanitize(value: float, index: int) -> float:
 
 
 def evolve_generation(swarm: Swarm, fitness_fn, config: SwarmConfig,
-                      bounds: Bounds, rng: np.random.Generator) -> dict:
+                      rng: np.random.Generator) -> dict:
     """One generation: evaluate, rank triplets, update second-bests/losers.
 
     The centroid and global best are snapshots taken after evaluation and
@@ -180,10 +160,10 @@ def evolve_generation(swarm: Swarm, fitness_fn, config: SwarmConfig,
     for w, m, l in ranked:
         swarm.positions[m], swarm.velocities[m] = update_second_best(
             swarm.positions[m], swarm.velocities[m], swarm.positions[w],
-            x_mean, config.phi, bounds, rng)
+            x_mean, config.phi, config.swarm_bound, rng)
         swarm.positions[l], swarm.velocities[l] = update_loser(
             swarm.positions[l], swarm.velocities[l], swarm.positions[w],
-            x_best, config.phi, bounds, rng)
+            x_best, config.phi, config.swarm_bound, rng)
     winners, seconds, losers = ranked.T.tolist()
     return {"winners": winners, "seconds": seconds, "losers": losers,
             "leftovers": perm[n_grouped:].tolist()}

@@ -22,8 +22,7 @@ from hybridnas.runtime import RandomStream
 from hybridnas.supernet import (ArchLayout, SupernetState, SyntheticDataset,
                                 edge_weights, param_dimension,
                                 parameter_free_fraction)
-from hybridnas.swarm import (Bounds, SwarmConfig, evolve_generation,
-                             init_population)
+from hybridnas.swarm import SwarmConfig, evolve_generation, init_population
 from hybridnas.tabular import generate_space, ranking
 
 LAYOUT = ArchLayout()
@@ -69,9 +68,8 @@ def test_criterion_3_softmax_contract():
 
 def test_criterion_4_winner_preservation():
     config = SwarmConfig(pop_size=60)
-    bounds = Bounds.cube(30, -3.0, 3.0)
     rng = np.random.default_rng(0)
-    swarm = init_population(bounds, config, rng)
+    swarm = init_population(30, config, rng)
     sphere = lambda x: float(np.dot(x, x))
     preserved = True
     monotone = True
@@ -79,7 +77,7 @@ def test_criterion_4_winner_preservation():
     t0 = time.perf_counter()
     for _ in range(100):
         before = swarm.positions.copy()
-        roles = evolve_generation(swarm, sphere, config, bounds, rng)
+        roles = evolve_generation(swarm, sphere, config, rng)
         for idx in roles["winners"] + roles["leftovers"]:
             if not np.array_equal(swarm.positions[idx], before[idx]):
                 preserved = False

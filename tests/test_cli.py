@@ -1,6 +1,5 @@
 """Tests for config parsing, logging, genotype files and the CLI commands."""
 
-import math
 import os
 
 import pytest
@@ -25,13 +24,7 @@ def write(tmp_path, name, text):
 def test_empty_config_gives_defaults(tmp_path):
     path = write(tmp_path, "c.txt", "# nothing here\n\n")
     cfg = parse_config(path)
-    assert cfg == RunConfig() or (
-        # nan fields break plain equality; compare field by field
-        all(getattr(cfg, f) == getattr(RunConfig(), f)
-            or (isinstance(getattr(cfg, f), float)
-                and math.isnan(getattr(cfg, f))
-                and math.isnan(getattr(RunConfig(), f)))
-            for f in cfg.__dataclass_fields__))
+    assert cfg == RunConfig()
     assert cfg.pop_size == 60
     assert cfg.phi == 0.15
     assert cfg.generations_per_epoch == 8
@@ -86,13 +79,7 @@ def test_serialize_parse_round_trip(tmp_path):
     cfg = RunConfig(pop_size=9, phi=0.4, backend="tabular", timing=True,
                     ops="zero,skip,linear")
     path = write(tmp_path, "c.txt", serialize_config(cfg))
-    back = parse_config(path)
-    for f in cfg.__dataclass_fields__:
-        a, b = getattr(cfg, f), getattr(back, f)
-        if isinstance(a, float) and math.isnan(a):
-            assert math.isnan(b)
-        else:
-            assert a == b, f
+    assert parse_config(path) == cfg
 
 
 # ---------------------------------------------------------------- logging
@@ -254,6 +241,16 @@ def test_unused_seed_flag_is_rejected(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+def test_nonfinite_values_rejected_before_run(tmp_path, capsys):
+    out_dir = tmp_path / "run"
+    for flag, value in (("--eta-w", "nan"), ("--swarm-bound", "inf")):
+        rc = main_cli(["search", flag, value, "--max-epochs", "1",
+                       "--out", str(out_dir)])
+        assert rc == 1
+        assert flag[2:].replace("-", "_") in capsys.readouterr().err
+        assert not out_dir.exists()
+
+
 def test_empty_ops_rejected_before_run(tmp_path, capsys):
     out_dir = tmp_path / "run"
     rc = main_cli(["search", "--ops", ",", "--out", str(out_dir)])
@@ -293,7 +290,9 @@ def test_bench_command_small(capsys):
 
 def test_subcommand_defaults_match_library():
     bench = build_parser().parse_args(["bench"])
-    assert (bench.pop_size, bench.phi) == (SwarmConfig().pop_size, SwarmConfig().phi)
+    swarm = SwarmConfig()
+    assert (bench.pop_size, bench.phi, bench.bound) == (swarm.pop_size, swarm.phi,
+                                                        swarm.swarm_bound)
     grad = build_parser().parse_args(["check-grad"])
     assert grad.num_nodes == ArchLayout().num_nodes
     assert tuple(grad.ops.split(",")) == ArchLayout().candidate_ops == DEFAULT_OPS

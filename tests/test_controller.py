@@ -139,13 +139,11 @@ def test_stage_config_validation():
 
 # ---------------------------------------------------------------- stage runs
 
-def tabular_settings(**overrides):
-    stage = StageConfig(warmup_epochs=overrides.pop("warmup_epochs", 2),
-                        min_stability_epochs=5, window_n=5,
-                        max_total_epochs=overrides.pop("max_total_epochs", 25))
-    swarm = SwarmConfig(pop_size=overrides.pop("pop_size", 21),
-                        generations_per_epoch=4)
-    return SearchSettings(stage=stage, swarm=swarm, **overrides)
+def tabular_settings(warmup_epochs=2, max_total_epochs=25, **stage):
+    return SearchSettings(
+        stage=StageConfig(warmup_epochs=warmup_epochs, min_stability_epochs=5,
+                          window_n=5, max_total_epochs=max_total_epochs, **stage),
+        swarm=SwarmConfig(pop_size=21, generations_per_epoch=4))
 
 
 def test_warmup_zero_starts_in_exploration():
@@ -155,18 +153,25 @@ def test_warmup_zero_starts_in_exploration():
 
 
 def test_tabular_run_passes_through_all_stages():
-    result = run_search(tabular_settings(), make_tabular_backend(), seed=0)
-    stages = [r.stage for r in result.records]
-    assert stages[0] == Stage.WARMUP.value
-    assert Stage.EXPLORATION.value in stages
-    assert Stage.STABILITY.value in stages
-    # tabular stability epochs change nothing, so v_t is 0 and the run
-    # early-stops after the minimum number of stability epochs
-    assert result.termination is Termination.EARLY_STOP
-    stab = [r for r in result.records if r.stage == Stage.STABILITY.value]
-    assert len(stab) == 5
-    assert all(r.v_t == 0.0 for r in stab)
-    assert all(r.epsilon is not None for r in stab)
+    # In the second case the stop rule fires on the cap epoch: one warm-up,
+    # one exploration and five stability epochs under a cap of 7.
+    for overrides, n_epochs in (({}, None),
+                                ({"warmup_epochs": 1, "stability_threshold": 0.05,
+                                  "max_total_epochs": 7}, 7)):
+        result = run_search(tabular_settings(**overrides),
+                            make_tabular_backend(), seed=0)
+        stages = [r.stage for r in result.records]
+        assert n_epochs is None or len(stages) == n_epochs
+        assert stages[0] == Stage.WARMUP.value
+        assert Stage.EXPLORATION.value in stages
+        assert Stage.STABILITY.value in stages
+        # tabular stability epochs change nothing, so v_t is 0 and the run
+        # early-stops after the minimum number of stability epochs
+        assert result.termination is Termination.EARLY_STOP
+        stab = [r for r in result.records if r.stage == Stage.STABILITY.value]
+        assert len(stab) == 5
+        assert all(r.v_t == 0.0 for r in stab)
+        assert all(r.epsilon is not None for r in stab)
 
 
 def test_tabular_queries_monotone_and_counted():
@@ -197,10 +202,13 @@ def test_epoch_records_well_formed():
 
 
 def test_alpha_is_zero_after_pure_warmup():
-    settings = tabular_settings(warmup_epochs=2, max_total_epochs=2)
-    result = run_search(settings, make_tabular_backend(), seed=0)
-    assert np.all(result.alpha.encode() == 0.0)
-    assert result.termination is Termination.MAX_EPOCHS
+    # (5, 3): the cap falls inside warm-up.
+    for warmup, cap in ((2, 2), (5, 3)):
+        settings = tabular_settings(warmup_epochs=warmup, max_total_epochs=cap)
+        result = run_search(settings, make_tabular_backend(), seed=0)
+        assert [r.stage for r in result.records] == [Stage.WARMUP.value] * cap
+        assert np.all(result.alpha.encode() == 0.0)
+        assert result.termination is Termination.MAX_EPOCHS
 
 
 def test_warmup_training_loss_decreases_most_seeds():

@@ -12,7 +12,7 @@ from hybridnas.fitness import (FitnessWeights, HistoryArchive, LossBounds,
                                entropy_diversity, swarm_diversity,
                                update_history)
 from hybridnas.supernet import ArchLayout, ArchParams, discretize, op_frequencies
-from hybridnas.swarm import Bounds, SwarmConfig, init_population
+from hybridnas.swarm import SwarmConfig, init_population
 
 BOUNDS01 = LossBounds(0.0, 1.0)
 
@@ -185,7 +185,7 @@ def test_history_rejects_wrong_dimension():
 
 
 def test_update_history_appends_best_particle():
-    swarm = init_population(Bounds.cube(2, -1, 1), SwarmConfig(pop_size=3),
+    swarm = init_population(2, SwarmConfig(pop_size=3, swarm_bound=1.0),
                             np.random.default_rng(0))
     swarm.fitness[:] = [3.0, 2.0, 1.0]
     h = HistoryArchive(dimension=2)
@@ -195,14 +195,14 @@ def test_update_history_appends_best_particle():
 
 
 def test_update_history_requires_evaluated_particles():
-    swarm = init_population(Bounds.cube(2, -1, 1), SwarmConfig(pop_size=3),
+    swarm = init_population(2, SwarmConfig(pop_size=3, swarm_bound=1.0),
                             np.random.default_rng(0))
     with pytest.raises(ValueError, match="no evaluated"):
         update_history(HistoryArchive(dimension=2), swarm)
 
 
 def test_update_history_copies_position():
-    swarm = init_population(Bounds.cube(2, -1, 1), SwarmConfig(pop_size=3),
+    swarm = init_population(2, SwarmConfig(pop_size=3, swarm_bound=1.0),
                             np.random.default_rng(0))
     swarm.fitness[:] = 0.0
     h = HistoryArchive(dimension=2)

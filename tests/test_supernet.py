@@ -231,6 +231,19 @@ def test_loss_rejects_empty_batch():
         loss(state, ArchParams.zeros(LAYOUT), np.zeros((0, 2)), np.zeros(0, int))
 
 
+@pytest.mark.parametrize("y", [[0, 1, 2], [0, 1, -1, 2]],
+                         ids=["short", "negative"])
+def test_labels_must_match_batch(y):
+    # A short y used to score only the first rows, and -1 was read as the
+    # last class.
+    state = SupernetState.init(LAYOUT, np.random.default_rng(0))
+    x = np.random.default_rng(1).normal(size=(4, 2))
+    alpha = ArchParams.zeros(LAYOUT)
+    for fn in (loss, loss_and_grads, validation_accuracy):
+        with pytest.raises(ValueError, match=r"labels must be 4 integers in \[0, 3\)"):
+            fn(state, alpha, x, np.array(y))
+
+
 # ---------------------------------------------------------------- gradients
 
 def test_duplicated_batch_gives_identical_gradients():

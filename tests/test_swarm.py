@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hybridnas.bench import run_pairwise_cso
-from hybridnas.swarm import (Bounds, SwarmConfig, clamp_to_bounds,
-                             evolve_generation, init_population, rank_groups,
-                             update_loser, update_second_best)
+from hybridnas.swarm import (SwarmConfig, clamp_to_bounds, evolve_generation,
+                             init_population, rank_groups, update_loser,
+                             update_second_best)
 
 
 class ForcedRng:
@@ -27,36 +27,27 @@ class ForcedRng:
         return np.full(size, self.r)
 
 
-WIDE = Bounds.cube(1, -10.0, 10.0)
+WIDE = 10.0
 
 
-# ---------------------------------------------------------------- bounds
-
-def test_bounds_cube_shapes():
-    b = Bounds.cube(4, -3.0, 3.0)
-    assert b.dimension == 4
-    assert np.all(b.lower == -3.0) and np.all(b.upper == 3.0)
-
-
-def test_bounds_invalid_names_dimension():
-    with pytest.raises(ValueError, match="dimension 1"):
-        Bounds(np.array([0.0, 2.0]), np.array([1.0, 2.0]))
-
+# ---------------------------------------------------------------- config
 
 def test_config_validation():
     with pytest.raises(ValueError, match="pop_size"):
         SwarmConfig(pop_size=2)
     with pytest.raises(ValueError, match="phi"):
         SwarmConfig(phi=1.5)
+    for bound in (math.nan, math.inf, 0.0):
+        with pytest.raises(ValueError, match="swarm_bound"):
+            SwarmConfig(swarm_bound=bound)
 
 
 # ---------------------------------------------------------------- partitioning
 
 def roles_of_one_generation(pop, seed=1):
-    cfg = SwarmConfig(pop_size=pop)
-    b = Bounds.cube(2, -1, 1)
-    swarm = init_population(b, cfg, np.random.default_rng(0))
-    return evolve_generation(swarm, lambda x: float(np.dot(x, x)), cfg, b,
+    cfg = SwarmConfig(pop_size=pop, swarm_bound=1.0)
+    swarm = init_population(2, cfg, np.random.default_rng(0))
+    return evolve_generation(swarm, lambda x: float(np.dot(x, x)), cfg,
                              np.random.default_rng(seed))
 
 
@@ -108,9 +99,8 @@ def test_pairwise_cso_ties_move_higher_index():
     # On a constant function every pair ties: the lower index wins, so only
     # the higher-index particle of each pair moves.
     cfg = SwarmConfig(pop_size=8)
-    b = Bounds.cube(3, -3, 3)
     rng = np.random.default_rng(4)
-    start = init_population(b, cfg, rng).positions
+    start = init_population(3, cfg, rng).positions
     # The run draws its first pairs right after the initial positions.
     pairs = rng.permutation(cfg.pop_size).reshape(-1, 2)
     evaluated = []
@@ -119,7 +109,7 @@ def test_pairwise_cso_ties_move_higher_index():
         evaluated.append(x.copy())
         return 1.0
 
-    run_pairwise_cso(constant, b, 2 * cfg.pop_size, 4, cfg)
+    run_pairwise_cso(constant, 3, 2 * cfg.pop_size, 4, cfg)
     moved = np.nonzero(np.any(np.array(evaluated[cfg.pop_size:]) != start, axis=1))[0]
     assert moved.tolist() == sorted(pairs.max(axis=1).tolist())
 
@@ -134,8 +124,7 @@ def test_pairwise_cso_survives_nonfinite_fitness(caplog):
         return math.nan if len(calls) % 6 == 0 else sphere(x)
 
     with caplog.at_level("ERROR"):
-        best = run_pairwise_cso(flaky_sphere, Bounds.cube(3, -3, 3), 600, 0,
-                                SwarmConfig(pop_size=6))
+        best = run_pairwise_cso(flaky_sphere, 3, 600, 0, SwarmConfig(pop_size=6))
     assert any("non-finite" in r.message for r in caplog.records)
     assert best < 1e-3
 
@@ -148,14 +137,12 @@ def test_clamp_inside_unchanged():
 
 
 def test_clamp_on_boundary_keeps_velocity():
-    b = Bounds.cube(1, -1.0, 1.0)
-    pos, vel = clamp_to_bounds(np.array([1.0]), np.array([3.0]), b)
+    pos, vel = clamp_to_bounds(np.array([1.0]), np.array([3.0]), 1.0)
     assert pos[0] == 1.0 and vel[0] == 3.0
 
 
 def test_clamp_outside_clips_and_zeros_velocity():
-    b = Bounds.cube(2, -1.0, 1.0)
-    pos, vel = clamp_to_bounds(np.array([2.0, 0.0]), np.array([5.0, 5.0]), b)
+    pos, vel = clamp_to_bounds(np.array([2.0, 0.0]), np.array([5.0, 5.0]), 1.0)
     assert pos.tolist() == [1.0, 0.0]
     assert vel.tolist() == [0.0, 5.0]
 
@@ -163,9 +150,8 @@ def test_clamp_outside_clips_and_zeros_velocity():
 @given(st.lists(st.floats(-100, 100), min_size=3, max_size=3),
        st.lists(st.floats(-100, 100), min_size=3, max_size=3))
 def test_clamp_always_within_bounds(p, v):
-    b = Bounds.cube(3, -2.0, 2.0)
-    pos, _ = clamp_to_bounds(np.array(p), np.array(v), b)
-    assert np.all(pos >= b.lower) and np.all(pos <= b.upper)
+    pos, _ = clamp_to_bounds(np.array(p), np.array(v), 2.0)
+    assert np.all(np.abs(pos) <= 2.0)
 
 
 # ---------------------------------------------------------------- updates
@@ -198,15 +184,15 @@ def test_loser_forced_update_value():
 
 def test_loser_noop_when_all_points_coincide():
     x = np.full(3, 0.5)
-    pos, vel = update_loser(x, np.zeros(3), x.copy(), x.copy(), 0.15,
-                            Bounds.cube(3, -1, 1), ForcedRng())
+    pos, vel = update_loser(x, np.zeros(3), x.copy(), x.copy(), 0.15, 1.0,
+                            ForcedRng())
     assert np.array_equal(pos, x) and np.all(vel == 0.0)
 
 
 def test_update_rejects_length_mismatch():
     with pytest.raises(ValueError, match="length mismatch"):
         update_loser(np.zeros(2), np.zeros(2), np.zeros(3), np.zeros(2),
-                     0.15, Bounds.cube(2, -1, 1), ForcedRng())
+                     0.15, 1.0, ForcedRng())
 
 
 # ---------------------------------------------------------------- evolution
@@ -217,11 +203,10 @@ def sphere(x):
 
 def test_constant_fitness_keeps_winners_unchanged():
     cfg = SwarmConfig(pop_size=9)
-    b = Bounds.cube(4, -3, 3)
     rng = np.random.default_rng(5)
-    swarm = init_population(b, cfg, rng)
+    swarm = init_population(4, cfg, rng)
     before = swarm.positions.copy()
-    roles = evolve_generation(swarm, lambda x: 1.0, cfg, b, rng)
+    roles = evolve_generation(swarm, lambda x: 1.0, cfg, rng)
     for trip_w in roles["winners"]:
         assert np.array_equal(swarm.positions[trip_w], before[trip_w])
     # tie rule: winner is the lowest index in each triplet
@@ -231,53 +216,49 @@ def test_constant_fitness_keeps_winners_unchanged():
 
 def test_nonfinite_fitness_ranks_worst_and_logs(caplog):
     cfg = SwarmConfig(pop_size=3)
-    b = Bounds.cube(2, -3, 3)
     rng = np.random.default_rng(0)
-    swarm = init_population(b, cfg, rng)
+    swarm = init_population(2, cfg, rng)
     first = swarm.positions[0].copy()
 
     def fn(x):
         return math.nan if np.array_equal(x, first) else sphere(x)
 
     with caplog.at_level("ERROR"):
-        evolve_generation(swarm, fn, cfg, b, rng)
+        evolve_generation(swarm, fn, cfg, rng)
     assert any("non-finite" in r.message for r in caplog.records)
     assert np.isfinite(swarm.best_fitness)
 
 
 def test_best_fitness_monotone():
     cfg = SwarmConfig(pop_size=12)
-    b = Bounds.cube(6, -3, 3)
     rng = np.random.default_rng(11)
-    swarm = init_population(b, cfg, rng)
+    swarm = init_population(6, cfg, rng)
     last = math.inf
     for _ in range(20):
-        evolve_generation(swarm, sphere, cfg, b, rng)
+        evolve_generation(swarm, sphere, cfg, rng)
         assert swarm.best_fitness <= last
         last = swarm.best_fitness
 
 
 def test_positions_stay_in_bounds_across_generations():
-    cfg = SwarmConfig(pop_size=10)
-    b = Bounds.cube(5, -2, 2)
+    cfg = SwarmConfig(pop_size=10, swarm_bound=2.0)
     rng = np.random.default_rng(2)
-    swarm = init_population(b, cfg, rng)
+    swarm = init_population(5, cfg, rng)
     for _ in range(15):
-        evolve_generation(swarm, sphere, cfg, b, rng)
+        evolve_generation(swarm, sphere, cfg, rng)
         pos = swarm.positions
-        assert np.all(pos >= b.lower) and np.all(pos <= b.upper)
+        assert np.all(np.abs(pos) <= cfg.swarm_bound)
 
 
 def test_eight_generations_improve_on_sphere_most_seeds():
     cfg = SwarmConfig(pop_size=60)
-    b = Bounds.cube(10, -3, 3)
     improved = 0
     for seed in range(10):
         rng = np.random.default_rng(seed)
-        swarm = init_population(b, cfg, rng)
+        swarm = init_population(10, cfg, rng)
         gen0 = min(sphere(x) for x in swarm.positions)
         for _ in range(8):
-            evolve_generation(swarm, sphere, cfg, b, rng)
+            evolve_generation(swarm, sphere, cfg, rng)
         if swarm.best_fitness < gen0:
             improved += 1
     assert improved >= 9
@@ -285,13 +266,12 @@ def test_eight_generations_improve_on_sphere_most_seeds():
 
 def test_evolution_deterministic_for_fixed_seed():
     cfg = SwarmConfig(pop_size=9)
-    b = Bounds.cube(3, -3, 3)
 
     def run():
         rng = np.random.default_rng(42)
-        swarm = init_population(b, cfg, rng)
+        swarm = init_population(3, cfg, rng)
         for _ in range(5):
-            evolve_generation(swarm, sphere, cfg, b, rng)
+            evolve_generation(swarm, sphere, cfg, rng)
         return swarm.positions, swarm.best_fitness
 
     p1, f1 = run()
