@@ -261,10 +261,11 @@ def _cmd_search(args: argparse.Namespace) -> int:
     os.makedirs(cfg.out, exist_ok=True)
     ext = "csv" if cfg.log_format == "csv" else "jsonl"
     logger = EpochLogger(os.path.join(cfg.out, f"log.{ext}"), cfg.log_format)
-    result = run_search(cfg.settings(), backend, cfg.seed, timing=cfg.timing)
-    for rec in result.records:
-        logger.log_epoch(rec)
-    logger.close()
+    try:
+        result = run_search(cfg.settings(), backend, cfg.seed, timing=cfg.timing,
+                            on_record=logger.log_epoch)
+    finally:
+        logger.close()
     export_genotype(result.genotype, cfg.layout(),
                     os.path.join(cfg.out, "genotype.txt"))
     with open(os.path.join(cfg.out, "config.txt"), "w", encoding="utf-8") as fh:

@@ -258,12 +258,14 @@ class SearchSettings:
 
 
 def run_search(config: SearchSettings, backend, seed: int,
-               timing: bool = False) -> SearchResult:
+               timing: bool = False, on_record=None) -> SearchResult:
     """Execute warm-up, exploration and stability in order, together at
     most ``max_total_epochs`` epochs.
 
     Fully reproducible from the seed; wall-clock is recorded only when
     ``timing`` is set so default logs are byte-stable across runs.
+    ``on_record``, if given, is called with each EpochRecord as soon as its
+    epoch ends, so a log survives a search that raises later.
     """
     cfg = config.stage
     cap = cfg.max_total_epochs
@@ -292,6 +294,8 @@ def run_search(config: SearchSettings, backend, seed: int,
             validation_accuracy=acc, v_t=v_t, epsilon=epsilon,
             queries_used=backend.queries_used,
             wall_ms=int(round((clock() - t0) * 1000))))
+        if on_record is not None:
+            on_record(records[-1])
 
     for _ in range(min(cfg.warmup_epochs, cap)):
         t0 = clock()

@@ -10,7 +10,6 @@ combined value, so subtracting the bonuses rewards diversity.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,24 +39,37 @@ class LossBounds:
 
 class HistoryArchive:
     """Ring buffer of past positions, used as the reference set for
-    parameter-space diversity."""
+    parameter-space diversity.  The rows live in one preallocated
+    ``(capacity, dimension)`` array; ``add`` overwrites the oldest row once
+    the buffer is full."""
 
     def __init__(self, dimension: int, capacity: int = 200):
         if capacity < 1:
             raise ValueError("capacity must be positive")
         self.dimension = dimension
         self.capacity = capacity
-        self.entries: deque[np.ndarray] = deque(maxlen=capacity)
+        self.rows = np.empty((capacity, dimension))
+        self.added = 0
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return min(self.added, self.capacity)
+
+    @property
+    def entries(self) -> np.ndarray:
+        """The filled rows, oldest first (a copy)."""
+        return np.roll(self.rows[:len(self)], -self.added, axis=0)
 
     def add(self, position: np.ndarray) -> None:
-        position = np.asarray(position, dtype=float)
-        if position.shape != (self.dimension,):
-            raise ValueError(f"archive entry has dimension {position.shape[0]}, "
-                             f"expected {self.dimension}")
-        self.entries.append(position.copy())
+        self.rows[self.added % self.capacity] = _position(position, self.dimension)
+        self.added += 1
+
+
+def _position(x, dimension: int) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    if x.shape != (dimension,):
+        raise ValueError(f"position has shape {x.shape}, expected ({dimension},) "
+                         f"for dimension {dimension}")
+    return x
 
 
 def base_fitness(loss: float, bounds: LossBounds) -> float:
@@ -73,13 +85,16 @@ def swarm_diversity(x: np.ndarray, history: HistoryArchive) -> float:
 
     An empty archive means everything is maximally novel (1.0).
     """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (history.dimension,):
-        raise ValueError(f"position has dimension {x.shape[0]}, "
-                         f"expected {history.dimension}")
-    if not history.entries:
+    x = _position(x, history.dimension)
+    if not len(history):
         return 1.0
-    d_min = min(float(np.linalg.norm(x - h)) for h in history.entries)
+    diff = x - history.rows[:len(history)]
+    sq = np.einsum("ij,ij->i", diff, diff)
+    # einsum's squares differ from norm's by about D*eps relative, far inside the
+    # 1e-9 margin (the floor covers underflow), so the nearest row always passes.
+    cutoff = sq.min() * (1 + 1e-9) + 1e-300
+    near = np.flatnonzero(~(sq > cutoff))   # NaN rows pass: a NaN x scores NaN
+    d_min = min(float(np.linalg.norm(diff[i])) for i in near)
     return math.tanh(d_min / math.sqrt(history.dimension))
 
 

@@ -7,7 +7,7 @@ import pytest
 from hybridnas.cli import (EpochLogger, RunConfig, build_parser,
                            export_genotype, load_genotype, main_cli,
                            parse_config, parse_log, serialize_config)
-from hybridnas.controller import EpochRecord
+from hybridnas.controller import EpochRecord, TabularBackend
 from hybridnas.supernet import DEFAULT_OPS, ArchLayout, Genotype
 from hybridnas.swarm import SwarmConfig
 
@@ -179,6 +179,28 @@ def test_gen_space_oracle_and_search(tmp_path, capsys):
     rows = parse_log(os.path.join(out_dir, "log.csv"), "csv")
     assert len(rows) >= 2
     assert rows[0]["stage"] == "warmup"
+
+
+def test_search_streams_log_before_a_crash(tmp_path, monkeypatch):
+    space_path = str(tmp_path / "space.txt")
+    main_cli(["gen-space", "--ops", "zero,skip,linear", "--seed", "5",
+              "--out", space_path])
+
+    def crash(self, position, eval_batch):
+        raise RuntimeError("backend failed in exploration")
+
+    monkeypatch.setattr(TabularBackend, "position_loss", crash)
+    out_dir = str(tmp_path / "run")
+    with pytest.raises(RuntimeError, match="exploration"):
+        main_cli(["search", "--backend", "tabular", "--space", space_path,
+                  "--num-nodes", "1", "--ops", "zero,skip,linear",
+                  "--warmup-epochs", "3", "--seed", "3", "--out", out_dir])
+    with open(os.path.join(out_dir, "log.csv"), encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    assert lines[0] == ",".join(EpochRecord.FIELDS)
+    rows = parse_log(os.path.join(out_dir, "log.csv"), "csv")
+    assert [(r["epoch"], r["stage"]) for r in rows] == [(1, "warmup"), (2, "warmup"),
+                                                       (3, "warmup")]
 
 
 def test_search_missing_space_is_clean_error(capsys):

@@ -188,6 +188,14 @@ def test_run_search_deterministic():
     assert [r.__dict__ for r in a.records] == [r.__dict__ for r in b.records]
 
 
+def test_on_record_sees_every_record_in_order():
+    seen = []
+    result = run_search(tabular_settings(), make_tabular_backend(), seed=0,
+                        on_record=seen.append)
+    assert seen == result.records
+    assert {r.stage for r in seen} == {s.value for s in Stage}
+
+
 def test_epoch_records_well_formed():
     result = run_search(tabular_settings(), make_tabular_backend(), seed=0)
     for i, r in enumerate(result.records, start=1):

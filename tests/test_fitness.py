@@ -1,6 +1,7 @@
 """Unit and property tests for fitness components and the history archive."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -91,6 +92,59 @@ def test_swarm_diversity_dimension_check():
     h.add(np.zeros(3))
     with pytest.raises(ValueError, match="dimension"):
         swarm_diversity(np.zeros(4), h)
+
+
+@pytest.mark.parametrize("bad", [5.0, np.zeros((1, 3))], ids=["scalar", "row"])
+def test_position_shape_errors_name_the_shape(bad):
+    h = HistoryArchive(dimension=3)
+    h.add(np.zeros(3))
+    message = re.escape(f"shape {np.shape(bad)}, expected (3,)")
+    with pytest.raises(ValueError, match=message):
+        swarm_diversity(bad, h)
+    with pytest.raises(ValueError, match=message):
+        h.add(bad)
+    assert len(h) == 1
+
+
+def test_swarm_diversity_matches_rowwise_reference():
+    # Compares with == against the per-row norm over the archive, oldest
+    # first, while the archive fills from one row to past its capacity.
+    def rowwise(x, entries):
+        d_min = min(float(np.linalg.norm(x - e)) for e in entries)
+        return math.tanh(d_min / math.sqrt(len(x)))
+
+    bound, capacity = 3.0, 25
+    for dim in (3, 30, 50):
+        rng = np.random.default_rng(dim)
+        h = HistoryArchive(dimension=dim, capacity=capacity)
+        for step in range(2 * capacity + 7):
+            kind = step % 4
+            if kind == 0 or not len(h):
+                row = np.clip(rng.normal(0.0, 2.5, dim), -bound, bound)
+            elif kind == 1:      # exact duplicate of an archive row
+                row = h.entries[rng.integers(len(h))]
+            elif kind == 2:      # near-tie with an archive row
+                row = h.entries[rng.integers(len(h))] + 1e-12 * rng.standard_normal(dim)
+            else:                # every coordinate on the box's faces
+                row = bound * rng.choice([-1.0, 1.0], dim)
+            h.add(row)
+            entries = h.entries
+            picked = entries[rng.integers(len(h))]
+            queries = [np.clip(rng.normal(0.0, 2.5, dim), -bound, bound),
+                       picked,
+                       picked + 1e-12 * rng.standard_normal(dim),
+                       np.clip(picked + rng.normal(0.0, 5.0, dim), -bound, bound)]
+            for x in queries:
+                assert swarm_diversity(x, h) == rowwise(x, entries), (dim, step)
+        # Permuted copies of one row are equidistant from a constant x, so only
+        # rounding tells them apart: the screen must keep every one of them.
+        for trial in range(60):
+            row = np.clip(rng.normal(0.0, 2.5, dim), -bound, bound)
+            h = HistoryArchive(dimension=dim, capacity=capacity)
+            for _ in range(capacity):
+                h.add(rng.permutation(row))
+            x = np.full(dim, rng.uniform(-bound, bound))
+            assert swarm_diversity(x, h) == rowwise(x, h.entries), (dim, trial)
 
 
 @given(st.lists(st.floats(-50, 50), min_size=3, max_size=3))
