@@ -27,6 +27,9 @@ from .swarm import SwarmConfig
 from .tabular import brute_force_best, generate_space, load_space, save_space
 
 
+LOG_FORMATS = ("csv", "jsonl")
+
+
 @dataclass
 class RunConfig:
     """Flat run configuration; field names double as config-file keys and
@@ -138,6 +141,9 @@ def parse_config(file_path: str | None, flag_overrides: dict | None = None
             raise ValueError(f"unknown config key {key!r}")
         values[key] = val
     cfg = RunConfig(**values)
+    if cfg.log_format not in LOG_FORMATS:
+        raise ValueError(f"log_format must be csv or jsonl, got "
+                         f"{cfg.log_format!r}")
     cfg.settings()   # validate invariants up front
     cfg.layout()
     return cfg
@@ -154,7 +160,7 @@ class EpochLogger:
     """One line per epoch, flushed per record."""
 
     def __init__(self, path: str, fmt: str):
-        if fmt not in ("csv", "jsonl"):
+        if fmt not in LOG_FORMATS:
             raise ValueError(f"log format must be csv or jsonl, got {fmt!r}")
         self.fmt = fmt
         self.path = path

@@ -256,6 +256,11 @@ class SearchSettings:
     weights: FitnessWeights = field(default_factory=FitnessWeights)
     history_capacity: int = 200
 
+    def __post_init__(self):
+        if self.history_capacity < 1:
+            raise ValueError(f"history_capacity must be >= 1, got "
+                             f"{self.history_capacity}")
+
 
 def run_search(config: SearchSettings, backend, seed: int,
                timing: bool = False, on_record=None) -> SearchResult:

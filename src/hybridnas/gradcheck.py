@@ -55,12 +55,14 @@ def min_kink_distance(state: SupernetState, alpha: ArchParams,
     larger than the step."""
     traces: list = []
     forward(state, alpha, x, traces)
+    layout = state.layout
+    kinked = [k for op, k in zip(layout.candidate_ops, layout.param_slots)
+              if k is not None and _ACTIVATIONS[op][2]]
     dist = np.inf
     for trace in traces:
-        for _, _, _, _, pres in trace.edges:
-            for op, pre in zip(state.layout.candidate_ops, pres):
-                if pre is not None and _ACTIVATIONS[op][2]:
-                    dist = min(dist, float(np.min(np.abs(pre))))
+        for _, _, _, pre, _ in trace.edges:
+            for k in kinked:
+                dist = min(dist, float(np.min(np.abs(pre[k]))))
     return dist
 
 

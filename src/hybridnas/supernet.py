@@ -21,20 +21,19 @@ import numpy as np
 
 # Candidate operation registry.  "zero" and "skip" are parameter-free; the
 # rest apply a dense transform followed by an elementwise activation.  Each
-# entry is (activation, derivative, kinked); a kinked activation has a point
+# entry is (activation, derivative, kinked).  The derivative takes the
+# pre-activation and the activation's output of the same forward pass, so it
+# need not evaluate the activation again.  A kinked activation has a point
 # where its derivative jumps, which central differences must not straddle.
 _ACTIVATIONS = {
-    "linear": (lambda z: z, lambda z: np.ones_like(z), False),
-    "relu_linear": (lambda z: np.maximum(z, 0.0), lambda z: (z > 0).astype(float),
-                    True),
-    "tanh_linear": (np.tanh, lambda z: 1.0 - np.tanh(z) ** 2, False),
-    "sigmoid_linear": (
-        lambda z: 1.0 / (1.0 + np.exp(-z)),
-        lambda z: (s := 1.0 / (1.0 + np.exp(-z))) * (1.0 - s),
-        False,
-    ),
-    "abs_linear": (np.abs, np.sign, True),
-    "sin_linear": (np.sin, np.cos, False),
+    "linear": (lambda z: z, lambda z, a: np.ones_like(z), False),
+    "relu_linear": (lambda z: np.maximum(z, 0.0),
+                    lambda z, a: (z > 0).astype(float), True),
+    "tanh_linear": (np.tanh, lambda z, a: 1.0 - a ** 2, False),
+    "sigmoid_linear": (lambda z: 1.0 / (1.0 + np.exp(-z)),
+                       lambda z, a: a * (1.0 - a), False),
+    "abs_linear": (np.abs, lambda z, a: np.sign(z), True),
+    "sin_linear": (np.sin, lambda z, a: np.cos(z), False),
 }
 
 PARAM_FREE_OPS = ("zero", "skip")
@@ -213,6 +212,10 @@ class SupernetState:
     def __init__(self, layout: ArchLayout, feature_dim: int, num_classes: int,
                  in_dim: int):
         """All weights zero."""
+        if feature_dim < 1:
+            raise ValueError(f"feature_dim must be >= 1, got {feature_dim}")
+        if num_classes < 2:
+            raise ValueError(f"num_classes must be >= 2, got {num_classes}")
         self.layout = layout
         self.feature_dim = f = feature_dim
         self.num_classes = num_classes
@@ -260,52 +263,51 @@ class SupernetState:
 class CellTrace:
     """What one cell's forward pass keeps for the backward pass."""
 
-    nodes: list[np.ndarray]   # node outputs; nodes 0 and 1 are the cell input
     concat: np.ndarray        # intermediate node outputs side by side
-    # per edge, in edge order: (source node, input, op weights, op outputs,
-    # pre-activations); outputs and pre-activations are None where absent
+    # per edge, in edge order: (source node, input, op weights,
+    # pre-activations, outputs); the last two stack the parametric ops in
+    # slot order, shape (num_param_ops, n, feature_dim), and are None when
+    # the layout has no parametric op
     edges: list[tuple]
     out: np.ndarray           # cell output, concat @ proj_w[cell]
 
 
 def _cell_forward(state: SupernetState, cell: int, weights: np.ndarray,
                   s: np.ndarray, traces: list[CellTrace] | None):
-    """One cell; ``weights`` are its (edges, ops) mixing weights."""
+    """One cell; ``weights`` are its (edges, ops) mixing weights.  Each edge
+    transforms its input for all parametric ops in one stacked matmul."""
     layout = state.layout
-    slots = layout.param_slots
+    ops = tuple(enumerate(zip(layout.candidate_ops, layout.param_slots)))
+    stacked = layout.num_param_ops > 0
     nodes = [s, s]
     edge = 0
     edge_trace = []
     for t in range(layout.num_nodes):
-        acc = np.zeros_like(s)
+        acc = np.zeros(s.shape)
         for i in range(t + 2):
             x = nodes[i]
             w = weights[edge]
-            outs, pres = [], []
-            mixed = np.zeros_like(x)
-            for o, op in enumerate(layout.candidate_ops):
-                if op == "zero":
-                    outs.append(None)
-                    pres.append(None)
-                elif op == "skip":
-                    outs.append(x)
-                    pres.append(None)
+            pre = out = None
+            if stacked:
+                pre = x @ state.op_w[cell, edge] + state.op_b[cell, edge][:, None, :]
+                out = np.empty_like(pre)
+            # mixed in op order, whatever the order of candidate_ops
+            mixed = np.zeros(x.shape)
+            for o, (op, k) in ops:
+                if op == "skip":
                     mixed += w[o] * x
-                else:
-                    pre = x @ state.op_w[cell, edge, slots[o]] + state.op_b[cell, edge, slots[o]]
-                    out = _ACTIVATIONS[op][0](pre)
-                    outs.append(out)
-                    pres.append(pre)
-                    mixed += w[o] * out
+                elif k is not None:
+                    out[k] = _ACTIVATIONS[op][0](pre[k])
+                    mixed += w[o] * out[k]
             acc = acc + mixed
             if traces is not None:
-                edge_trace.append((i, x, w, outs, pres))
+                edge_trace.append((i, x, w, pre, out))
             edge += 1
         nodes.append(acc)
     concat = np.concatenate(nodes[2:], axis=1)
     out = concat @ state.proj_w[cell]
     if traces is not None:
-        traces.append(CellTrace(nodes, concat, edge_trace, out))
+        traces.append(CellTrace(concat, edge_trace, out))
     return out
 
 
@@ -349,49 +351,70 @@ def loss(state: SupernetState, alpha: ArchParams, x: np.ndarray,
 
 
 def _cell_backward(state: SupernetState, cell: int, d_out: np.ndarray,
-                   trace: CellTrace, wgrads: SupernetState,
-                   agrad_cell: np.ndarray) -> np.ndarray:
+                   trace: CellTrace, wgrads: SupernetState | None,
+                   agrad_cell: np.ndarray | None) -> np.ndarray:
+    """Back through one cell: adds into ``wgrads`` and into the cell's
+    (edges, ops) score gradient ``agrad_cell``, skipping either when it is
+    None, and returns the gradient w.r.t. the cell input.  Without
+    ``wgrads``, cell 0's input-node edges add nothing to that gradient: only
+    the stem's weight gradient reads it."""
     layout = state.layout
-    slots = layout.param_slots
-    nodes = trace.nodes
+    ops = tuple(enumerate(zip(layout.candidate_ops, layout.param_slots)))
+    param = np.array([o for o, (_, k) in ops if k is not None], dtype=int)
     f = state.feature_dim
 
-    wgrads.proj_w[cell] += trace.concat.T @ d_out
+    if wgrads is not None:
+        wgrads.proj_w[cell] += trace.concat.T @ d_out
     d_concat = d_out @ state.proj_w[cell].T
-    d_nodes = [np.zeros_like(nodes[0]) for _ in nodes]
+    d_nodes = [np.zeros(d_out.shape), np.zeros(d_out.shape)]
     for t in range(layout.num_nodes):
-        d_nodes[t + 2] = d_concat[:, t * f:(t + 1) * f]
+        d_nodes.append(d_concat[:, t * f:(t + 1) * f])
+    need_input = wgrads is not None or cell == 1
 
     edge = len(trace.edges) - 1
     for t in reversed(range(layout.num_nodes)):
         d_acc = d_nodes[t + 2]
         for _ in range(t + 2):
-            i, x, w, outs, pres = trace.edges[edge]
-            # softmax backward: d alpha = w * (g - <w, g>), g_o = <d_acc, out_o>
-            g = np.zeros(layout.num_ops)
-            d_x = np.zeros_like(x)
-            for o, op in enumerate(layout.candidate_ops):
-                if op == "zero":
-                    continue
-                g[o] = float(np.sum(d_acc * outs[o]))
-                if op == "skip":
-                    d_x += w[o] * d_acc
-                else:
-                    d_pre = (w[o] * d_acc) * _ACTIVATIONS[op][1](pres[o])
-                    wgrads.op_w[cell, edge, slots[o]] += x.T @ d_pre
-                    wgrads.op_b[cell, edge, slots[o]] += d_pre.sum(axis=0)
-                    d_x += d_pre @ state.op_w[cell, edge, slots[o]].T
-            agrad_cell[edge] += w * (g - float(w @ g))
-            d_nodes[i] += d_x
+            i, x, w, pre, out = trace.edges[edge]
+            if agrad_cell is not None:
+                # softmax backward: d alpha = w * (g - <w, g>), g_o = <d_acc, out_o>
+                g = np.zeros(layout.num_ops)
+                if param.size:
+                    g[param] = (d_acc * out).reshape(len(param), -1).sum(axis=1)
+                for o, (op, _) in ops:
+                    if op == "skip":
+                        g[o] = float((d_acc * x).sum())
+                agrad_cell[edge] += w * (g - float(w @ g))
+            if need_input or i >= 2:
+                if param.size:
+                    d_pre = np.empty_like(pre)
+                    for o, (op, k) in ops:
+                        if k is not None:
+                            d_pre[k] = _ACTIVATIONS[op][1](pre[k], out[k])
+                    d_pre *= w[param][:, None, None] * d_acc
+                    if wgrads is not None:
+                        wgrads.op_w[cell, edge] += x.T @ d_pre
+                        wgrads.op_b[cell, edge] += d_pre.sum(axis=1)
+                    d_xs = d_pre @ state.op_w[cell, edge].transpose(0, 2, 1)
+                # d_x in op order, whatever the order of candidate_ops
+                d_x = np.zeros(x.shape)
+                for o, (op, k) in ops:
+                    if op == "skip":
+                        d_x += w[o] * d_acc
+                    elif k is not None:
+                        d_x += d_xs[k]
+                d_nodes[i] += d_x
             edge -= 1
     return d_nodes[0] + d_nodes[1]
 
 
 def loss_and_grads(state: SupernetState, alpha: ArchParams, x: np.ndarray,
-                   y: np.ndarray
-                   ) -> tuple[float, SupernetState, ArchParams]:
+                   y: np.ndarray, *, need_weights: bool = True,
+                   need_alpha: bool = True
+                   ) -> tuple[float, SupernetState | None, ArchParams | None]:
     """Loss plus exact reverse-mode gradients w.r.t. weights (a state of
-    the same topology) and alpha."""
+    the same topology) and alpha.  A gradient not asked for is not
+    computed, and is returned as None."""
     traces: list[CellTrace] = []
     logits = forward(state, alpha, x, traces)
     x = np.asarray(x, dtype=float)
@@ -400,32 +423,34 @@ def loss_and_grads(state: SupernetState, alpha: ArchParams, x: np.ndarray,
     logp = _log_softmax(logits)
     loss_val = float(-logp[np.arange(n), y].mean())
 
-    wgrads = state.like()
-    agrad = ArchParams.zeros(state.layout)
+    wgrads = state.like() if need_weights else None
+    agrad = ArchParams.zeros(state.layout) if need_alpha else None
 
     d_logits = np.exp(logp)
     d_logits[np.arange(n), y] -= 1.0
     d_logits /= n
 
-    wgrads.cls_w += traces[1].out.T @ d_logits
-    wgrads.cls_b += d_logits.sum(axis=0)
+    if wgrads is not None:
+        wgrads.cls_w += traces[1].out.T @ d_logits
+        wgrads.cls_b += d_logits.sum(axis=0)
     d_h = d_logits @ state.cls_w.T
     for cell in (1, 0):
         d_h = _cell_backward(state, cell, d_h, traces[cell], wgrads,
-                             agrad.scores[cell])
-    wgrads.stem_w += x.T @ d_h
-    wgrads.stem_b += d_h.sum(axis=0)
+                             None if agrad is None else agrad.scores[cell])
+    if wgrads is not None:
+        wgrads.stem_w += x.T @ d_h
+        wgrads.stem_b += d_h.sum(axis=0)
     return loss_val, wgrads, agrad
 
 
 def grad_weights(state: SupernetState, alpha: ArchParams, x: np.ndarray,
                  y: np.ndarray) -> SupernetState:
-    return loss_and_grads(state, alpha, x, y)[1]
+    return loss_and_grads(state, alpha, x, y, need_alpha=False)[1]
 
 
 def grad_alpha(state: SupernetState, alpha: ArchParams, x: np.ndarray,
                y: np.ndarray) -> ArchParams:
-    return loss_and_grads(state, alpha, x, y)[2]
+    return loss_and_grads(state, alpha, x, y, need_weights=False)[2]
 
 
 def sgd_step_weights(state: SupernetState, grads: SupernetState,
@@ -459,6 +484,8 @@ class SyntheticDataset:
     def spirals(cls, rng: np.random.Generator, n_train: int = 600,
                 n_val: int = 300, num_classes: int = 3, noise: float = 0.10,
                 turns: float = 0.8) -> "SyntheticDataset":
+        if num_classes < 2:
+            raise ValueError(f"num_classes must be >= 2, got {num_classes}")
         for name, n in (("n_train", n_train), ("n_val", n_val)):
             if n <= 0 or n % num_classes:
                 raise ValueError(f"{name}={n} must be a positive multiple of "

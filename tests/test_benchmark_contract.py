@@ -10,6 +10,7 @@ imported, because it sets environment variables at import.
 
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -41,6 +42,18 @@ def perfbench_modules():
 
 def tabular_backend(cls):
     return cls(generate_space(LAYOUT, seed=1), LAYOUT)
+
+
+def backward_calls(result, n_train=60):
+    """loss_and_grads calls of a supernet search: one per training batch in
+    each warm-up and exploration epoch, and a weight plus an architecture
+    step per batch in each stability epoch."""
+    counts = {stage.value: 0 for stage in Stage}
+    for r in result.records:
+        counts[r.stage] += 1
+    b = SETTINGS.stage.batch_size
+    return ((counts["warmup"] + counts["exploration"]) * math.ceil(n_train / b)
+            + counts["stability"] * 2 * max(1, n_train // b))
 
 
 def supernet_backend(cls):
@@ -84,6 +97,22 @@ def test_traced_search_matches_untraced(base_cls, make, fitness_span):
     assert explore == 2
     assert t.calls("swarm.generation") == explore * g
     assert t.calls(fitness_span) == explore * (g + 1) * p
+    if base_cls is SupernetBackend:
+        assert t.calls("supernet.loss_and_grads") == backward_calls(traced)
+
+
+def test_traced_stability_counts_every_backward_call():
+    # grad_weights and grad_alpha both reach the traced loss_and_grads.
+    tracer, _ = perfbench_modules()
+    settings = replace(SETTINGS, stage=replace(
+        SETTINGS.stage, stability_threshold=0.05, max_total_epochs=4))
+    t = tracer.Tracer()
+    with tracer.patched(tracer.instrument(t)):
+        result = run_search(settings, supernet_backend(
+            tracer.traced_backend(SupernetBackend, t)), seed=0)
+    assert [r.stage for r in result.records] == [
+        "warmup", "exploration", "stability", "stability"]
+    assert t.calls("supernet.loss_and_grads") == backward_calls(result) == 20
 
 
 def test_supernet_backend_builds_and_scores():

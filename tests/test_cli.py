@@ -273,6 +273,26 @@ def test_nonfinite_values_rejected_before_run(tmp_path, capsys):
         assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("argv, field", [
+    (["search", "--num-classes", "0"], "num_classes"),
+    (["search", "--num-classes", "1"], "num_classes"),
+    (["search", "--feature-dim", "0"], "feature_dim"),
+    (["search", "--history-capacity", "0"], "history_capacity"),
+    (["search", "--log-format", "xml"], "log_format"),
+    (["check-grad", "--feature-dim", "0"], "feature_dim"),
+], ids=["search-classes-0", "search-classes-1", "search-feature-dim-0",
+        "search-history-0", "search-log-xml", "check-grad-feature-dim-0"])
+def test_bad_sizes_rejected_before_run(tmp_path, capsys, argv, field):
+    # These escaped as ZeroDivisionError tracebacks, or failed only after
+    # the run had started and written its out directory.
+    out_dir = tmp_path / "run"
+    if argv[0] == "search":
+        argv = argv + ["--max-epochs", "1", "--out", str(out_dir)]
+    assert main_cli(argv) == 1
+    assert field in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_empty_ops_rejected_before_run(tmp_path, capsys):
     out_dir = tmp_path / "run"
     rc = main_cli(["search", "--ops", ",", "--out", str(out_dir)])

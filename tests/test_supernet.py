@@ -1,5 +1,6 @@
 """Tests for the differentiable supernet, genotypes and gradients."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -10,12 +11,13 @@ from hypothesis import strategies as st
 from hybridnas.cli import main_cli
 from hybridnas.gradcheck import (check_gradients, make_gradcheck_problem,
                                  min_kink_distance)
-from hybridnas.supernet import (_ACTIVATIONS, ArchLayout, ArchParams, Genotype,
-                                SupernetState, SyntheticDataset, discretize,
-                                edge_weights, forward, loss, loss_and_grads,
-                                op_frequencies, param_dimension,
-                                parameter_free_fraction, sgd_step_weights,
-                                validation_accuracy)
+from hybridnas.supernet import (_ACTIVATIONS, KNOWN_OPS, ArchLayout,
+                                ArchParams, Genotype, SupernetState,
+                                SyntheticDataset, discretize, edge_weights,
+                                forward, grad_alpha, grad_weights, loss,
+                                loss_and_grads, op_frequencies,
+                                param_dimension, parameter_free_fraction,
+                                sgd_step_weights, validation_accuracy)
 
 LAYOUT = ArchLayout()   # N=2, five default ops, D=50
 
@@ -256,6 +258,51 @@ def test_duplicated_batch_gives_identical_gradients():
     assert np.allclose(a1.encode(), a2.encode(), atol=1e-12)
 
 
+# sha256 over the bytes of forward, loss and loss_and_grads on MATH_CASES;
+# recorded before the backward pass was restructured, so a rewrite that
+# moves one float or reorders one sum fails it.
+SUPERNET_MATH_SHA256 = (
+    "b71955aa0c77f0c40a3f16d7857ba23d4fbf6469dd402820652d8bbbd0041369")
+
+
+def math_cases():
+    """Seeded (state, alpha, x, y) problems: 1-3 nodes, permuted op orders
+    (every fourth case all 8 ops), parameter-free-only layouts, batch sizes
+    1 to 80."""
+    rng = np.random.default_rng(2026)
+    op_sets = [("zero",), ("skip", "zero")]
+    for case in range(40):
+        ops = rng.permutation(KNOWN_OPS)
+        op_sets.append(tuple(ops[:8 if case % 4 == 0 else rng.integers(1, 9)]))
+    for case, ops in enumerate(op_sets):
+        layout = ArchLayout(1 + case % 3, ops)
+        batch = (1, 80)[case] if case < 2 else int(rng.integers(1, 81))
+        num_classes = int(rng.integers(2, 5))
+        state = SupernetState.init(layout, rng, int(rng.choice([3, 16])),
+                                   num_classes)
+        for bias in (state.stem_b, state.op_b, state.cls_b):
+            bias[...] = rng.normal(0, 0.3, bias.shape)
+        alpha = ArchParams(rng.normal(
+            0, 1.0, (2, layout.edges_per_cell, layout.num_ops)))
+        x = rng.normal(size=(batch, 2))
+        y = rng.integers(0, num_classes, size=batch)
+        yield state, alpha, x, y
+
+
+def test_supernet_math_is_bitwise_pinned():
+    digest = hashlib.sha256()
+    for state, alpha, x, y in math_cases():
+        value, wgrads, agrad = loss_and_grads(state, alpha, x, y)
+        for arr in (forward(state, alpha, x), loss(state, alpha, x, y), value,
+                    wgrads.weights, agrad.scores):
+            digest.update(np.asarray(arr, dtype=np.float64).tobytes())
+        assert np.array_equal(grad_weights(state, alpha, x, y).weights,
+                              wgrads.weights)
+        assert np.array_equal(grad_alpha(state, alpha, x, y).scores,
+                              agrad.scores)
+    assert digest.hexdigest() == SUPERNET_MATH_SHA256
+
+
 def test_gradcheck_small_layout():
     layout = ArchLayout(1, ("zero", "skip", "linear", "relu_linear"))
     state, alpha, x, y = make_gradcheck_problem(layout, seed=0, batch=4,
@@ -264,11 +311,20 @@ def test_gradcheck_small_layout():
     assert res.max_rel_error < 1e-5
 
 
+@pytest.mark.parametrize("op", [o for o in KNOWN_OPS if o in _ACTIVATIONS])
+def test_gradcheck_each_parametric_op(op):
+    # Every op's derivative meets the finite-difference oracle on its own.
+    layout = ArchLayout(1, ("zero", "skip", op))
+    state, alpha, x, y = make_gradcheck_problem(layout, seed=0, batch=4,
+                                                feature_dim=4)
+    assert check_gradients(state, alpha, x, y).max_rel_error < 1e-5
+
+
 def test_gradcheck_catches_wrong_derivative(monkeypatch, capsys):
     # The oracle must be able to fail: give tanh the derivative of identity.
     act, _, kinked = _ACTIVATIONS["tanh_linear"]
     monkeypatch.setitem(_ACTIVATIONS, "tanh_linear",
-                        (act, lambda z: np.ones_like(z), kinked))
+                        (act, lambda z, a: np.ones_like(z), kinked))
     layout = ArchLayout(1, ("zero", "skip", "linear", "tanh_linear"))
     state, alpha, x, y = make_gradcheck_problem(layout, seed=0, batch=4,
                                                 feature_dim=4)
