@@ -286,6 +286,13 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     seeds = [args.seed + i for i in range(args.seeds)]
     config = SwarmConfig(pop_size=args.pop_size, phi=args.phi,
                          swarm_bound=args.bound)
+    for flag, value in (("--seeds", args.seeds), ("--dim", args.dim)):
+        if value < 1:
+            raise ValueError(f"{flag} must be at least 1, got {value}")
+    if args.budget < args.pop_size:
+        # Below one generation both swarms would report inf.
+        raise ValueError(f"--budget must be at least --pop-size "
+                         f"({args.pop_size}), got {args.budget}")
     results = compare_strategies(args.fn, args.dim, args.budget, seeds, config)
     for name, vals in results.items():
         med = float(np.median(vals))

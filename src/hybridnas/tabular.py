@@ -109,6 +109,9 @@ def load_space(path: str) -> TabularSpace:
         raise SpaceFormatError(f"header 'edges=' must be a positive integer, "
                                f"got {header['edges']!r}") from None
     op_names = tuple(o.strip() for o in header["ops"].split(","))
+    # The only spellings of an op index that a key may use: no sign, padding
+    # or leading zero, so every accepted key is the one genotype_key writes.
+    digits = {str(i) for i in range(len(op_names))}
 
     table: dict[str, Metrics] = {}
     for i, ln in enumerate(lines[rows_start:], start=rows_start + 1):
@@ -119,8 +122,7 @@ def load_space(path: str) -> TabularSpace:
             raise SpaceFormatError(f"line {i}: expected 4 fields, got {len(parts)}")
         key, va, ta, cost = parts
         idx = key.split("-")
-        if len(idx) != num_edges or not all(p.isdigit() and int(p) < len(op_names)
-                                            for p in idx):
+        if len(idx) != num_edges or not digits.issuperset(idx):
             raise SpaceFormatError(f"line {i}: bad genotype key {key!r}")
         if key in table:
             raise SpaceFormatError(f"line {i}: duplicate genotype {key!r}")
@@ -133,6 +135,8 @@ def load_space(path: str) -> TabularSpace:
                 raise SpaceFormatError(f"line {i}: accuracy {acc} out of range for {key!r}")
         table[key] = m
 
+    # Accepted keys are canonical and unique, so the count alone proves the
+    # table covers the cross-product; the scan only names a missing key.
     if len(table) != len(op_names) ** num_edges:
         for combo in _all_keys(num_edges, len(op_names)):
             if genotype_key(combo) not in table:

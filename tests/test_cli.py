@@ -181,6 +181,21 @@ def test_gen_space_oracle_and_search(tmp_path, capsys):
     assert rows[0]["stage"] == "warmup"
 
 
+def test_oracle_names_line_of_noncanonical_key(tmp_path, capsys):
+    # A leading zero used to load, and the oracle then failed on the
+    # missing canonical key with a bare KeyError message.
+    space_path = str(tmp_path / "space.txt")
+    main_cli(["gen-space", "--ops", "zero,skip,linear", "--out", space_path])
+    with open(space_path, encoding="utf-8") as fh:
+        text = fh.read().replace("\n0-0-0-0,", "\n00-0-0-0,", 1)
+    write(tmp_path, "space.txt", text)
+    capsys.readouterr()
+    assert main_cli(["oracle", "--space", space_path]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: line 4: bad genotype key '00-0-0-0'\n"
+
+
 def test_search_streams_log_before_a_crash(tmp_path, monkeypatch):
     space_path = str(tmp_path / "space.txt")
     main_cli(["gen-space", "--ops", "zero,skip,linear", "--seed", "5",
@@ -328,6 +343,21 @@ def test_bench_command_small(capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "icso" in out and "cso" in out and "random" in out
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["--seeds", "0", "--dim", "3", "--budget", "60"], "--seeds"),
+    (["--seeds", "1", "--dim", "0", "--budget", "60"], "--dim"),
+    (["--seeds", "1", "--dim", "3", "--budget", "10"], "--budget"),
+    (["--seeds", "1", "--dim", "3", "--budget", "14", "--pop-size", "15"],
+     "--budget"),
+], ids=["seeds-0", "dim-0", "budget-below-pop", "budget-one-short"])
+def test_bench_bad_sizes_rejected_before_run(capsys, argv, flag):
+    # These printed median_best=nan, 0 or inf and exited 0.
+    assert main_cli(["bench"] + argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {flag} must be at least ")
 
 
 def test_subcommand_defaults_match_library():

@@ -85,6 +85,37 @@ def test_load_bad_key(tmp_path):
         load_space(path)
 
 
+# Keys that int() reads as a valid index but that genotype_key never writes.
+# A replaced row left the canonical key missing from a full-sized table, and
+# an extra row grew the table past the cross-product; '\u0661' is an
+# Arabic-Indic 1, and '\u00b2' made int() raise without naming the line.
+@pytest.mark.parametrize("key, replaces", [
+    ("00-0-0-0", "0-0-0-0"), ("00-0-0-1", None),
+    ("\u00b2-0-0-0", "0-0-0-0"), ("\u0661-0-0-0", "1-0-0-0"),
+], ids=["leading-zero", "extra-row", "superscript", "arabic-indic"])
+def test_load_rejects_noncanonical_key(space, tmp_path, key, replaces):
+    path = str(tmp_path / "space.txt")
+    save_space(space, path)
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    keys = [ln.split(",")[0] for ln in lines]
+    line_no = keys.index(replaces) + 1 if replaces else len(lines) + 1
+    lines[line_no - 1:line_no] = [key + "," + lines[3].split(",", 1)[1]]
+    with pytest.raises(SpaceFormatError,
+                       match=f"^line {line_no}: bad genotype key '{key}'$"):
+        load_space(_write_lines(tmp_path, lines))
+
+
+def test_load_round_trip_keeps_two_digit_indices_and_order(tmp_path):
+    ops = tuple(f"op{i}" for i in range(12))
+    table = {genotype_key((a, b)): Metrics(0.5, 0.25, 1.0 + a)
+             for a in range(12) for b in range(12)}
+    path = str(tmp_path / "space.txt")
+    save_space(TabularSpace("wide", 2, ops, table), path)
+    back = load_space(path)
+    assert list(back.table.items()) == list(table.items())
+
+
 def test_load_missing_header(tmp_path):
     path = _write_lines(tmp_path, ["name=x", "edges=1", "0,0.5,0.5,1.0"])
     with pytest.raises(SpaceFormatError):
