@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .bench import compare_strategies
+from .bench import TEST_FUNCTIONS, compare_strategies
 from .controller import (EpochRecord, SearchSettings, StageConfig, StopMode,
                          SupernetBackend, TabularBackend, run_search)
 from .fitness import FitnessWeights
@@ -190,42 +190,12 @@ class EpochLogger:
         self.fh.close()
 
 
-def parse_log(path: str, fmt: str) -> list[dict]:
-    """Inverse of EpochLogger, used by tests to round-trip records."""
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if fmt == "csv":
-        header = lines[0].split(",")
-        for ln in lines[1:]:
-            cells = ln.split(",")
-            row = {}
-            for k, c in zip(header, cells):
-                if c == "":
-                    row[k] = None
-                elif k == "stage":
-                    row[k] = c
-                elif k in ("epoch", "queries_used", "wall_ms"):
-                    row[k] = int(c)
-                else:
-                    row[k] = float(c)
-            out.append(row)
-    else:
-        out = [json.loads(ln) for ln in lines if ln.strip()]
-    return out
-
-
 def export_genotype(genotype: Genotype, layout: ArchLayout, path: str) -> None:
     try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(genotype.to_text(layout))
     except OSError as exc:
         raise OSError(f"cannot write genotype to {path}: {exc}")
-
-
-def load_genotype(path: str, layout: ArchLayout) -> Genotype:
-    with open(path, encoding="utf-8") as fh:
-        return Genotype.from_text(fh.read(), layout)
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
@@ -265,8 +235,8 @@ def _cmd_search(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     backend = _build_backend(cfg)
     os.makedirs(cfg.out, exist_ok=True)
-    ext = "csv" if cfg.log_format == "csv" else "jsonl"
-    logger = EpochLogger(os.path.join(cfg.out, f"log.{ext}"), cfg.log_format)
+    logger = EpochLogger(os.path.join(cfg.out, f"log.{cfg.log_format}"),
+                         cfg.log_format)
     try:
         result = run_search(cfg.settings(), backend, cfg.seed, timing=cfg.timing,
                             on_record=logger.log_epoch)
@@ -338,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_search)
 
     p = sub.add_parser("bench", help="compare swarm strategies on test functions")
-    p.add_argument("--fn", choices=("sphere", "rastrigin"), default="sphere")
+    p.add_argument("--fn", choices=tuple(TEST_FUNCTIONS), default="sphere")
     p.add_argument("--dim", type=int, default=224)
     p.add_argument("--budget", type=int, default=60 * 8 * 15)
     p.add_argument("--seeds", type=int, default=10)

@@ -18,14 +18,13 @@ from enum import Enum
 
 import numpy as np
 
-from .fitness import (FitnessWeights, HistoryArchive, LossBounds, base_fitness,
+from .fitness import (FitnessWeights, HistoryArchive, base_fitness,
                       combined_fitness, entropy_diversity, swarm_diversity,
                       update_history)
 from .runtime import RandomStream
-from .supernet import (ArchLayout, ArchParams, Genotype, SupernetState,
-                       SyntheticDataset, discretize, grad_alpha, grad_weights,
-                       loss, op_frequencies, sgd_step_weights,
-                       validation_accuracy)
+from .supernet import (ArchLayout, Genotype, SupernetState, SyntheticDataset,
+                       decode, discretize, grad_alpha, grad_weights, loss,
+                       op_frequencies, sgd_step_weights, validation_accuracy)
 from .swarm import SwarmConfig, evolve_generation, init_population
 from .tabular import QueryBudget, TabularSpace, evaluate_position, query
 
@@ -120,11 +119,10 @@ def select_best(base_values: np.ndarray) -> int:
     return int(np.argmin(base_values))
 
 
-def soft_update_alpha(alpha: ArchParams, x_star: np.ndarray,
-                      eta_alpha: float, layout: ArchLayout) -> ArchParams:
+def soft_update_alpha(alpha: np.ndarray, x_star: np.ndarray,
+                      eta_alpha: float, layout: ArchLayout) -> np.ndarray:
     """alpha + eta * (decode(x*) - alpha), elementwise."""
-    target = ArchParams.decode(x_star, layout)
-    return ArchParams(alpha.scores + eta_alpha * (target.scores - alpha.scores))
+    return alpha + eta_alpha * (decode(x_star, layout) - alpha)
 
 
 @dataclass
@@ -146,14 +144,15 @@ class EpochRecord:
 @dataclass
 class SearchResult:
     genotype: Genotype
-    alpha: ArchParams
+    alpha: np.ndarray
     records: list[EpochRecord]
     termination: Termination
 
 
 class SupernetBackend:
     """Differentiable backend: fitness comes from validation loss of the
-    shared-weight supernet at the decoded architecture."""
+    shared-weight supernet at the decoded architecture.  ``loss_max`` is the
+    cross-entropy of a uniform prediction."""
 
     def __init__(self, layout: ArchLayout, dataset: SyntheticDataset,
                  state: SupernetState):
@@ -161,9 +160,7 @@ class SupernetBackend:
         self.dataset = dataset
         self.state = state
         self.queries_used = 0
-
-    def default_loss_bounds(self) -> LossBounds:
-        return LossBounds(0.0, math.log(self.state.num_classes))
+        self.loss_max = math.log(state.num_classes)
 
     def make_eval_batch(self, batch_size: int, rng: np.random.Generator):
         n = self.dataset.val_x.shape[0]
@@ -171,11 +168,11 @@ class SupernetBackend:
         return self.dataset.val_x[idx], self.dataset.val_y[idx]
 
     def position_loss(self, position: np.ndarray, eval_batch) -> tuple[float, Genotype]:
-        alpha = ArchParams.decode(position, self.layout)
+        alpha = decode(position, self.layout)
         bx, by = eval_batch
         return loss(self.state, alpha, bx, by), discretize(alpha)
 
-    def train_weight_epoch(self, alpha: ArchParams, eta_w: float,
+    def train_weight_epoch(self, alpha: np.ndarray, eta_w: float,
                            batch_size: int, rng: np.random.Generator) -> None:
         x, y = self.dataset.train_x, self.dataset.train_y
         order = rng.permutation(x.shape[0])
@@ -184,8 +181,8 @@ class SupernetBackend:
             grads = grad_weights(self.state, alpha, x[idx], y[idx])
             sgd_step_weights(self.state, grads, eta_w)
 
-    def stability_epoch(self, alpha: ArchParams, cfg: StageConfig,
-                        rng: np.random.Generator) -> ArchParams:
+    def stability_epoch(self, alpha: np.ndarray, cfg: StageConfig,
+                        rng: np.random.Generator) -> np.ndarray:
         """Alternate weight steps on training batches with architecture
         steps on validation batches."""
         tx, ty = self.dataset.train_x, self.dataset.train_y
@@ -200,18 +197,20 @@ class SupernetBackend:
             start = (s * cfg.batch_size) % vx.shape[0]
             vi = v_order[start:start + cfg.batch_size]
             ag = grad_alpha(self.state, alpha, vx[vi], vy[vi])
-            alpha = ArchParams(alpha.scores - cfg.stability_arch_lr * ag.scores)
+            alpha = alpha - cfg.stability_arch_lr * ag
         return alpha
 
-    def val_accuracy(self, alpha: ArchParams) -> float:
+    def val_accuracy(self, alpha: np.ndarray) -> float:
         return validation_accuracy(self.state, alpha,
                                    self.dataset.val_x, self.dataset.val_y)
 
 
 class TabularBackend:
     """Lookup backend: fitness is 1 - tabulated validation accuracy of the
-    argmax genotype.  There are no weights, so weight and gradient steps
-    are no-ops."""
+    argmax genotype, so ``loss_max`` is 1.  There are no weights, so weight
+    and gradient steps are no-ops."""
+
+    loss_max = 1.0
 
     def __init__(self, space: TabularSpace, layout: ArchLayout,
                  queries_max: int = 10 ** 9):
@@ -229,9 +228,6 @@ class TabularBackend:
     def queries_used(self) -> int:
         return self.budget.queries_used
 
-    def default_loss_bounds(self) -> LossBounds:
-        return LossBounds(0.0, 1.0)
-
     def make_eval_batch(self, batch_size: int, rng: np.random.Generator):
         return None
 
@@ -241,10 +237,10 @@ class TabularBackend:
     def train_weight_epoch(self, alpha, eta_w, batch_size, rng) -> None:
         pass
 
-    def stability_epoch(self, alpha: ArchParams, cfg: StageConfig, rng) -> ArchParams:
+    def stability_epoch(self, alpha: np.ndarray, cfg: StageConfig, rng) -> np.ndarray:
         return alpha
 
-    def val_accuracy(self, alpha: ArchParams) -> float:
+    def val_accuracy(self, alpha: np.ndarray) -> float:
         genotype = discretize(alpha)
         return query(self.space, genotype.key(), self.budget).valid_acc
 
@@ -276,14 +272,14 @@ def run_search(config: SearchSettings, backend, seed: int,
     cap = cfg.max_total_epochs
     layout = backend.layout
     dim = layout.dimension
-    loss_bounds = backend.default_loss_bounds()
+    loss_max = backend.loss_max
 
     root = RandomStream(seed)
     swarm_rng = root.substream("swarm").generator
     batch_rng = root.substream("batches").generator
     data_rng = root.substream("stability").generator
 
-    alpha = ArchParams.zeros(layout)
+    alpha = np.zeros((2, layout.edges_per_cell, layout.num_ops))
     records: list[EpochRecord] = []
 
     def clock():
@@ -312,7 +308,7 @@ def run_search(config: SearchSettings, backend, seed: int,
         swarm = init_population(dim, config.swarm, swarm_rng)
         # keep the warm-up signal: current alpha enters as one particle
         bound = config.swarm.swarm_bound
-        swarm.positions[0] = np.clip(alpha.encode(), -bound, bound)
+        swarm.positions[0] = np.clip(alpha.ravel(), -bound, bound)
         history = HistoryArchive(dim, config.history_capacity)
     while not stable and len(records) < cap:
         t0 = clock()
@@ -321,7 +317,7 @@ def run_search(config: SearchSettings, backend, seed: int,
 
             def combined_fn(position):
                 loss_val, genotype = backend.position_loss(position, eval_batch)
-                b = base_fitness(loss_val, loss_bounds)
+                b = base_fitness(loss_val, loss_max)
                 sd = swarm_diversity(position, history)
                 od = entropy_diversity(op_frequencies(genotype, layout))
                 return combined_fitness(b, sd, od, config.weights)
@@ -330,7 +326,7 @@ def run_search(config: SearchSettings, backend, seed: int,
             update_history(history, swarm)
 
         base_vals = [
-            base_fitness(backend.position_loss(x, eval_batch)[0], loss_bounds)
+            base_fitness(backend.position_loss(x, eval_batch)[0], loss_max)
             for x in swarm.positions]
         star = select_best(base_vals)
         alpha = soft_update_alpha(alpha, swarm.positions[star],
@@ -346,9 +342,9 @@ def run_search(config: SearchSettings, backend, seed: int,
     done = 0
     while stable and len(records) < cap:
         t0 = clock()
-        prev = alpha.encode()
+        prev = alpha.copy()
         alpha = backend.stability_epoch(alpha, cfg, data_rng)
-        v_t = float(np.linalg.norm(alpha.encode() - prev))
+        v_t = float(np.linalg.norm(alpha - prev))
         window.append(v_t)
         done += 1
         record(Stage.STABILITY, t0, v_t=v_t, epsilon=epsilon)

@@ -1,10 +1,11 @@
 """Fitness components for the exploration stage.
 
-Base fitness is a normalized validation loss.  Two diversity bonuses are
-subtracted from it: distance to a history archive of previously good
-positions (parameter-space diversity) and the entropy of operation choices
-in the decoded genotype (operation diversity).  The swarm minimizes the
-combined value, so subtracting the bonuses rewards diversity.
+Base fitness is a validation loss over the backend's ``loss_max``, clamped
+to [0, 1].  Two diversity bonuses are subtracted from it: distance to a
+history archive of previously good positions (parameter-space diversity)
+and the entropy of operation choices in the decoded genotype (operation
+diversity).  The swarm minimizes the combined value, so subtracting the
+bonuses rewards diversity.
 """
 
 from __future__ import annotations
@@ -25,16 +26,6 @@ class FitnessWeights:
             raise ValueError(f"lambda_swarm must be finite and >= 0, got {self.lambda_swarm}")
         if not (math.isfinite(self.lambda_op) and self.lambda_op >= 0):
             raise ValueError(f"lambda_op must be finite and >= 0, got {self.lambda_op}")
-
-
-@dataclass
-class LossBounds:
-    l_min: float
-    l_max: float
-
-    def __post_init__(self):
-        if not self.l_min < self.l_max:
-            raise ValueError(f"need l_min < l_max, got ({self.l_min}, {self.l_max})")
 
 
 class HistoryArchive:
@@ -72,12 +63,11 @@ def _position(x, dimension: int) -> np.ndarray:
     return x
 
 
-def base_fitness(loss: float, bounds: LossBounds) -> float:
-    """Normalize a loss into [0, 1]; values outside the bounds clamp."""
+def base_fitness(loss: float, loss_max: float) -> float:
+    """Normalize a loss into [0, 1] as ``loss / loss_max``, clamped."""
     if not math.isfinite(loss):
         raise ValueError(f"loss must be finite, got {loss}")
-    t = (loss - bounds.l_min) / (bounds.l_max - bounds.l_min)
-    return min(1.0, max(0.0, t))
+    return min(1.0, max(0.0, loss / loss_max))
 
 
 def swarm_diversity(x: np.ndarray, history: HistoryArchive) -> float:

@@ -11,8 +11,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .supernet import (_ACTIVATIONS, ArchLayout, ArchParams, SupernetState,
-                       forward, loss, loss_and_grads)
+from .supernet import (_ACTIVATIONS, ArchLayout, SupernetState, forward,
+                       loss, loss_and_grads)
+
+# Central-difference step; make_gradcheck_problem keeps every kinked
+# pre-activation 50 steps away from its kink.
+STEP = 1e-4
 
 
 @dataclass
@@ -47,7 +51,7 @@ def _central_diff(eval_at, vec: np.ndarray, step: float) -> np.ndarray:
     return grad
 
 
-def min_kink_distance(state: SupernetState, alpha: ArchParams,
+def min_kink_distance(state: SupernetState, alpha: np.ndarray,
                       x: np.ndarray) -> float:
     """Smallest |pre-activation| over kinked ops (relu, abs) in a forward
     pass.  Central differences are wrong when a perturbation crosses a
@@ -67,37 +71,34 @@ def min_kink_distance(state: SupernetState, alpha: ArchParams,
 
 
 def make_gradcheck_problem(layout: ArchLayout, seed: int, batch: int = 8,
-                           feature_dim: int = 16, num_classes: int = 3,
-                           step: float = 1e-4):
-    """Deterministically build a (state, alpha, x, y) tuple whose
+                           feature_dim: int = 16):
+    """Deterministically build a three-class (state, alpha, x, y) tuple whose
     pre-activations sit away from kinks, scanning seeds from ``seed``."""
     for trial in range(seed, seed + 1000):
         rng = np.random.default_rng(trial)
-        state = SupernetState.init(layout, rng, feature_dim=feature_dim,
-                                   num_classes=num_classes)
-        alpha = ArchParams(rng.normal(
-            0, 0.5, (2, layout.edges_per_cell, layout.num_ops)))
+        state = SupernetState.init(layout, rng, feature_dim=feature_dim)
+        alpha = rng.normal(0, 0.5, (2, layout.edges_per_cell, layout.num_ops))
         x = rng.normal(size=(batch, state.in_dim))
-        y = rng.integers(0, num_classes, size=batch)
-        if min_kink_distance(state, alpha, x) > 50 * step:
+        y = rng.integers(0, state.num_classes, size=batch)
+        if min_kink_distance(state, alpha, x) > 50 * STEP:
             return state, alpha, x, y
     raise RuntimeError("no kink-safe gradcheck configuration found")
 
 
-def check_gradients(state: SupernetState, alpha: ArchParams, x: np.ndarray,
-                    y: np.ndarray, step: float = 1e-4) -> GradCheckResult:
+def check_gradients(state: SupernetState, alpha: np.ndarray, x: np.ndarray,
+                    y: np.ndarray, step: float = STEP) -> GradCheckResult:
     """Compare every weight and alpha coordinate against central
     finite differences."""
     _, wgrads, agrad = loss_and_grads(state, alpha, x, y)
     probe = state.copy()
     numeric_w = _central_diff(lambda: loss(probe, alpha, x, y),
                               probe.weights, step)
-    probe_alpha = ArchParams(alpha.scores.copy())
+    probe_alpha = alpha.copy()
     numeric_a = _central_diff(lambda: loss(state, probe_alpha, x, y),
-                              probe_alpha.scores.reshape(-1), step)
+                              probe_alpha.reshape(-1), step)
     return GradCheckResult(
         max_rel_error_weights=_rel_error(wgrads.weights, numeric_w),
-        max_rel_error_alpha=_rel_error(agrad.encode(), numeric_a),
+        max_rel_error_alpha=_rel_error(agrad.ravel(), numeric_a),
         num_weight_coords=wgrads.weights.size,
-        num_alpha_coords=agrad.scores.size,
+        num_alpha_coords=agrad.size,
     )

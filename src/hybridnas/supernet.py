@@ -5,7 +5,9 @@ intermediate nodes, each summing mixed operations over all predecessors.
 Every edge carries a softmax-weighted mixture of candidate operations; the
 parameterized candidates are dense transforms with elementwise activations.
 Two cells (independent "normal" and "reduce" parameter sets) run in
-sequence between a linear stem and a linear classifier.
+sequence between a linear stem and a linear classifier.  The architecture
+scores of both cells are one float array of shape (2, edges, ops), normal
+cell first.
 
 Gradients for both network weights and architecture scores are computed by
 hand-written reverse mode in double precision; `gradcheck` provides the
@@ -103,31 +105,15 @@ class ArchLayout:
         return sum(1 for s in self.param_slots if s is not None)
 
 
-@dataclass
-class ArchParams:
-    """Architecture scores of both cells in one array of shape
-    (2, edges_per_cell, num_ops): the normal cell first, then the reduce
-    cell."""
-
-    scores: np.ndarray
-
-    @classmethod
-    def zeros(cls, layout: ArchLayout) -> "ArchParams":
-        return cls(np.zeros((2, layout.edges_per_cell, layout.num_ops)))
-
-    def encode(self) -> np.ndarray:
-        """Flatten to a position vector: normal cell first, row-major by
-        edge then op."""
-        return self.scores.flatten()
-
-    @classmethod
-    def decode(cls, position: np.ndarray, layout: ArchLayout) -> "ArchParams":
-        position = np.asarray(position, dtype=float)
-        if position.shape != (layout.dimension,):
-            raise ValueError(f"position has length {position.shape[0]}, "
-                             f"expected {layout.dimension}")
-        return cls(position.reshape(2, layout.edges_per_cell,
-                                    layout.num_ops).copy())
+def decode(position: np.ndarray, layout: ArchLayout) -> np.ndarray:
+    """A position vector as a new (2, edges_per_cell, num_ops) score array:
+    normal cell first, row-major by edge then op.  ``alpha.flatten()`` is
+    the inverse."""
+    position = np.asarray(position, dtype=float)
+    if position.shape != (layout.dimension,):
+        raise ValueError(f"position has shape {position.shape}, expected "
+                         f"one vector of length {layout.dimension}")
+    return position.reshape(2, layout.edges_per_cell, layout.num_ops).copy()
 
 
 @dataclass
@@ -144,24 +130,6 @@ class Genotype:
             lines.append(",".join(layout.candidate_ops[i] for i in sel))
         return "\n".join(lines) + "\n"
 
-    @classmethod
-    def from_text(cls, text: str, layout: ArchLayout) -> "Genotype":
-        lines = [ln for ln in text.strip().splitlines() if ln.strip()]
-        if len(lines) != 2:
-            raise ValueError(f"genotype text must have 2 cell lines, got {len(lines)}")
-        cells = []
-        for ln in lines:
-            names = [n.strip() for n in ln.split(",")]
-            if len(names) != layout.edges_per_cell:
-                raise ValueError(f"expected {layout.edges_per_cell} ops per cell, "
-                                 f"got {len(names)}")
-            try:
-                cells.append(tuple(layout.candidate_ops.index(n) for n in names))
-            except ValueError:
-                bad = [n for n in names if n not in layout.candidate_ops]
-                raise ValueError(f"unknown op names {bad}")
-        return cls(cells[0], cells[1])
-
     def key(self) -> str:
         return genotype_key(self.normal + self.reduce)
 
@@ -172,11 +140,11 @@ def genotype_key(indices: tuple[int, ...]) -> str:
     return "-".join(str(i) for i in indices)
 
 
-def discretize(alpha: ArchParams) -> Genotype:
+def discretize(alpha: np.ndarray) -> Genotype:
     """Per-edge argmax over op scores; ties go to the lowest op index."""
-    if not np.all(np.isfinite(alpha.scores)):
+    if not np.all(np.isfinite(alpha)):
         raise ValueError("architecture scores must be finite")
-    normal, reduce = alpha.scores.argmax(axis=2).tolist()
+    normal, reduce = alpha.argmax(axis=2).tolist()
     return Genotype(tuple(normal), tuple(reduce))
 
 
@@ -311,7 +279,7 @@ def _cell_forward(state: SupernetState, cell: int, weights: np.ndarray,
     return out
 
 
-def forward(state: SupernetState, alpha: ArchParams, x: np.ndarray,
+def forward(state: SupernetState, alpha: np.ndarray, x: np.ndarray,
             traces: list[CellTrace] | None = None) -> np.ndarray:
     """Logits for a non-empty (n, in_dim) batch; with ``traces`` given,
     appends one CellTrace per cell."""
@@ -319,7 +287,7 @@ def forward(state: SupernetState, alpha: ArchParams, x: np.ndarray,
     if x.ndim != 2 or x.shape[0] == 0 or x.shape[1] != state.in_dim:
         raise ValueError(f"batch has shape {x.shape}, expected a non-empty "
                          f"(n, {state.in_dim}) array")
-    weights = edge_weights(alpha.scores)
+    weights = edge_weights(alpha)
     h = x @ state.stem_w + state.stem_b
     for cell in range(2):
         h = _cell_forward(state, cell, weights[cell], h, traces)
@@ -342,7 +310,7 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
 
 
-def loss(state: SupernetState, alpha: ArchParams, x: np.ndarray,
+def loss(state: SupernetState, alpha: np.ndarray, x: np.ndarray,
          y: np.ndarray) -> float:
     """Mean cross-entropy over the batch."""
     logp = _log_softmax(forward(state, alpha, x))
@@ -408,10 +376,10 @@ def _cell_backward(state: SupernetState, cell: int, d_out: np.ndarray,
     return d_nodes[0] + d_nodes[1]
 
 
-def loss_and_grads(state: SupernetState, alpha: ArchParams, x: np.ndarray,
+def loss_and_grads(state: SupernetState, alpha: np.ndarray, x: np.ndarray,
                    y: np.ndarray, *, need_weights: bool = True,
                    need_alpha: bool = True
-                   ) -> tuple[float, SupernetState | None, ArchParams | None]:
+                   ) -> tuple[float, SupernetState | None, np.ndarray | None]:
     """Loss plus exact reverse-mode gradients w.r.t. weights (a state of
     the same topology) and alpha.  A gradient not asked for is not
     computed, and is returned as None."""
@@ -424,7 +392,7 @@ def loss_and_grads(state: SupernetState, alpha: ArchParams, x: np.ndarray,
     loss_val = float(-logp[np.arange(n), y].mean())
 
     wgrads = state.like() if need_weights else None
-    agrad = ArchParams.zeros(state.layout) if need_alpha else None
+    agrad = np.zeros(alpha.shape) if need_alpha else None
 
     d_logits = np.exp(logp)
     d_logits[np.arange(n), y] -= 1.0
@@ -436,20 +404,20 @@ def loss_and_grads(state: SupernetState, alpha: ArchParams, x: np.ndarray,
     d_h = d_logits @ state.cls_w.T
     for cell in (1, 0):
         d_h = _cell_backward(state, cell, d_h, traces[cell], wgrads,
-                             None if agrad is None else agrad.scores[cell])
+                             None if agrad is None else agrad[cell])
     if wgrads is not None:
         wgrads.stem_w += x.T @ d_h
         wgrads.stem_b += d_h.sum(axis=0)
     return loss_val, wgrads, agrad
 
 
-def grad_weights(state: SupernetState, alpha: ArchParams, x: np.ndarray,
+def grad_weights(state: SupernetState, alpha: np.ndarray, x: np.ndarray,
                  y: np.ndarray) -> SupernetState:
     return loss_and_grads(state, alpha, x, y, need_alpha=False)[1]
 
 
-def grad_alpha(state: SupernetState, alpha: ArchParams, x: np.ndarray,
-               y: np.ndarray) -> ArchParams:
+def grad_alpha(state: SupernetState, alpha: np.ndarray, x: np.ndarray,
+               y: np.ndarray) -> np.ndarray:
     return loss_and_grads(state, alpha, x, y, need_weights=False)[2]
 
 
@@ -465,7 +433,7 @@ def sgd_step_weights(state: SupernetState, grads: SupernetState,
     return state
 
 
-def validation_accuracy(state: SupernetState, alpha: ArchParams,
+def validation_accuracy(state: SupernetState, alpha: np.ndarray,
                         x: np.ndarray, y: np.ndarray) -> float:
     pred = forward(state, alpha, x).argmax(axis=1)
     return float((pred == _labels(state, y, pred.shape[0])).mean())

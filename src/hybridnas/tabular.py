@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .supernet import ArchLayout, ArchParams, Genotype, discretize, genotype_key
+from .supernet import ArchLayout, Genotype, decode, discretize, genotype_key
 
 
 class SpaceFormatError(ValueError):
@@ -162,7 +162,7 @@ def evaluate_position(space: TabularSpace, position: np.ndarray,
     if 2 * layout.edges_per_cell != space.num_edges:
         raise ValueError(f"layout has {2 * layout.edges_per_cell} edges, "
                          f"space expects {space.num_edges}")
-    genotype = discretize(ArchParams.decode(position, layout))
+    genotype = discretize(decode(position, layout))
     metrics = query(space, genotype.key(), budget)
     return 1.0 - metrics.valid_acc, genotype
 
@@ -187,27 +187,26 @@ def ranking(space: TabularSpace) -> list[str]:
                                        tuple(int(i) for i in k.split("-"))))
 
 
-def generate_space(layout: ArchLayout, seed: int, name: str = "synthetic",
-                   interaction_strength: float = 0.6,
-                   noise: float = 0.05) -> TabularSpace:
+def generate_space(layout: ArchLayout, seed: int,
+                   name: str = "synthetic") -> TabularSpace:
     """Seeded synthetic space over all genotypes of ``layout``.
 
-    Accuracy combines per-edge op utilities, pairwise edge interactions and
-    noise, then maps through a convex transform so only a thin tail of
-    genotypes is highly accurate.
+    Accuracy combines per-edge op utilities (scale 1), pairwise edge
+    interactions (scale 0.6) and noise (scale 0.05), then maps through a
+    convex transform so only a thin tail of genotypes is highly accurate.
     """
     rng = np.random.default_rng(seed)
     e = 2 * layout.edges_per_cell
     o = layout.num_ops
     utility = rng.normal(0, 1, (e, o))
     pairs = [(a, b) for a in range(e) for b in range(a + 1, e)]
-    interact = rng.normal(0, interaction_strength, (len(pairs), o, o))
+    interact = rng.normal(0, 0.6, (len(pairs), o, o))
 
     scores = {}
     for combo in _all_keys(e, o):
         s = sum(utility[i, c] for i, c in enumerate(combo))
         s += sum(interact[p, combo[a], combo[b]] for p, (a, b) in enumerate(pairs))
-        s += noise * rng.normal()
+        s += 0.05 * rng.normal()
         scores[combo] = s
     vals = np.array(list(scores.values()))
     lo, hi = vals.min(), vals.max()

@@ -148,7 +148,7 @@ class _WarmupProbe(SupernetBackend):
         self.alpha_seen = []
 
     def train_weight_epoch(self, alpha, eta_w, batch_size, rng):
-        self.alpha_seen.append(alpha.encode().copy())
+        self.alpha_seen.append(alpha.flatten())
         super().train_weight_epoch(alpha, eta_w, batch_size, rng)
 
 

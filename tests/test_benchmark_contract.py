@@ -117,12 +117,14 @@ def test_traced_stability_counts_every_backward_call():
 
 def test_supernet_backend_builds_and_scores():
     # The benchmark builds a supernet backend through ``SupernetState.init``
-    # and scores held-out data with ``validation_accuracy``.
+    # and scores held-out data with ``validation_accuracy`` at a search's
+    # final ``alpha``.
     _, workloads = perfbench_modules()
-    from hybridnas.supernet import ArchParams, validation_accuracy
+    from hybridnas.supernet import validation_accuracy
 
     workload = workloads.WORKLOADS["supernet-default"]
     backend = workloads.build_supernet_backend(workload, 0)
-    acc = validation_accuracy(backend.state, ArchParams.zeros(workload.layout),
+    result = run_search(SETTINGS, backend, seed=0)
+    acc = validation_accuracy(backend.state, result.alpha,
                               *workloads.heldout_split(0))
     assert math.isfinite(acc) and 0.0 <= acc <= 1.0

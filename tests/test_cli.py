@@ -1,12 +1,14 @@
 """Tests for config parsing, logging, genotype files and the CLI commands."""
 
+import csv
+import json
 import os
 
 import pytest
 
 from hybridnas.cli import (EpochLogger, RunConfig, build_parser,
-                           export_genotype, load_genotype, main_cli,
-                           parse_config, parse_log, serialize_config)
+                           export_genotype, main_cli, parse_config,
+                           serialize_config)
 from hybridnas.controller import EpochRecord, TabularBackend
 from hybridnas.supernet import DEFAULT_OPS, ArchLayout, Genotype
 from hybridnas.swarm import SwarmConfig
@@ -17,6 +19,24 @@ def write(tmp_path, name, text):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
     return path
+
+
+def read_log(path):
+    """The records of a log.jsonl or log.csv file as dicts; CSV cells are
+    read back as None (empty), the stage string, an int or a float."""
+    with open(path, encoding="utf-8") as fh:
+        if path.endswith(".jsonl"):
+            return [json.loads(ln) for ln in fh]
+        rows = list(csv.DictReader(fh))
+
+    def value(key, cell):
+        if cell == "" or key == "stage":
+            return cell or None
+        if key in ("epoch", "queries_used", "wall_ms"):
+            return int(cell)
+        return float(cell)
+
+    return [{k: value(k, c) for k, c in row.items()} for row in rows]
 
 
 # ---------------------------------------------------------------- config
@@ -106,7 +126,7 @@ def test_log_line_counts_and_round_trip(tmp_path, fmt):
     logger.close()
     lines = open(path).read().splitlines()
     assert len(lines) == (11 if fmt == "csv" else 10)
-    back = parse_log(path, fmt)
+    back = read_log(path)
     assert len(back) == 10
     for r, row in zip(recs, back):
         for k in EpochRecord.FIELDS:
@@ -131,7 +151,7 @@ def test_csv_floats_round_trip_exactly(tmp_path):
     logger = EpochLogger(path, "csv")
     logger.log_epoch(rec)
     logger.close()
-    row = parse_log(path, "csv")[0]
+    row = read_log(path)[0]
     assert row["validation_accuracy"] == 1 / 3
     assert row["v_t"] == 1e-17
     assert row["best_base_fitness"] is None
@@ -144,7 +164,8 @@ def test_genotype_export_load_round_trip(tmp_path):
     g = Genotype((0, 1, 2, 3, 4), (2, 2, 2, 2, 2))
     path = str(tmp_path / "genotype.txt")
     export_genotype(g, layout, path)
-    assert load_genotype(path, layout) == g
+    with open(path, encoding="utf-8") as fh:
+        assert fh.read() == g.to_text(layout)
 
 
 def test_genotype_export_unwritable_path():
@@ -176,7 +197,7 @@ def test_gen_space_oracle_and_search(tmp_path, capsys):
     assert os.path.exists(os.path.join(out_dir, "log.csv"))
     assert os.path.exists(os.path.join(out_dir, "genotype.txt"))
     assert os.path.exists(os.path.join(out_dir, "config.txt"))
-    rows = parse_log(os.path.join(out_dir, "log.csv"), "csv")
+    rows = read_log(os.path.join(out_dir, "log.csv"))
     assert len(rows) >= 2
     assert rows[0]["stage"] == "warmup"
 
@@ -213,7 +234,7 @@ def test_search_streams_log_before_a_crash(tmp_path, monkeypatch):
     with open(os.path.join(out_dir, "log.csv"), encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     assert lines[0] == ",".join(EpochRecord.FIELDS)
-    rows = parse_log(os.path.join(out_dir, "log.csv"), "csv")
+    rows = read_log(os.path.join(out_dir, "log.csv"))
     assert [(r["epoch"], r["stage"]) for r in rows] == [(1, "warmup"), (2, "warmup"),
                                                        (3, "warmup")]
 

@@ -8,52 +8,41 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hybridnas.fitness import (FitnessWeights, HistoryArchive, LossBounds,
-                               base_fitness, combined_fitness,
-                               entropy_diversity, swarm_diversity,
-                               update_history)
-from hybridnas.supernet import ArchLayout, ArchParams, discretize, op_frequencies
+from hybridnas.fitness import (FitnessWeights, HistoryArchive, base_fitness,
+                               combined_fitness, entropy_diversity,
+                               swarm_diversity, update_history)
+from hybridnas.supernet import ArchLayout, decode, discretize, op_frequencies
 from hybridnas.swarm import SwarmConfig, init_population
-
-BOUNDS01 = LossBounds(0.0, 1.0)
 
 
 # ---------------------------------------------------------------- base
 
 def test_base_at_bounds():
-    b = LossBounds(0.5, 2.5)
-    assert base_fitness(2.5, b) == 1.0
-    assert base_fitness(0.5, b) == 0.0
-    assert base_fitness(1.5, b) == pytest.approx(0.5)
+    assert base_fitness(2.5, 2.5) == 1.0
+    assert base_fitness(0.0, 2.5) == 0.0
+    assert base_fitness(1.25, 2.5) == 0.5
 
 
 def test_base_clamps_outside():
-    b = LossBounds(0.0, 1.0)
-    assert base_fitness(-3.0, b) == 0.0
-    assert base_fitness(7.0, b) == 1.0
+    assert base_fitness(-3.0, 1.0) == 0.0
+    assert base_fitness(7.0, 1.0) == 1.0
 
 
 def test_base_rejects_nonfinite_loss():
     with pytest.raises(ValueError, match="finite"):
-        base_fitness(math.inf, BOUNDS01)
-
-
-def test_loss_bounds_validation():
-    with pytest.raises(ValueError, match="l_min < l_max"):
-        LossBounds(1.0, 1.0)
+        base_fitness(math.inf, 1.0)
 
 
 @given(st.floats(-100, 100))
 def test_base_always_in_unit_interval(loss):
-    v = base_fitness(loss, LossBounds(-1.0, 2.0))
+    v = base_fitness(loss, 2.0)
     assert 0.0 <= v <= 1.0
 
 
-@given(st.floats(-1, 2), st.floats(-1, 2))
+@given(st.floats(-1, 3), st.floats(-1, 3))
 def test_base_monotone_in_loss(a, b):
     lo, hi = min(a, b), max(a, b)
-    bounds = LossBounds(-1.0, 2.0)
-    assert base_fitness(lo, bounds) <= base_fitness(hi, bounds)
+    assert base_fitness(lo, 2.0) <= base_fitness(hi, 2.0)
 
 
 # ---------------------------------------------------------------- swarm diversity
@@ -183,7 +172,7 @@ def test_entropy_relabel_invariance():
 def test_op_diversity_from_position():
     layout = ArchLayout()
     # All scores equal: every edge picks op 0 -> zero entropy.
-    genotype = discretize(ArchParams.decode(np.zeros(layout.dimension), layout))
+    genotype = discretize(decode(np.zeros(layout.dimension), layout))
     assert entropy_diversity(op_frequencies(genotype, layout)) == 0.0
 
 

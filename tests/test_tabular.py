@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from hybridnas.supernet import ArchLayout, ArchParams
+from hybridnas.supernet import ArchLayout
 from hybridnas.tabular import (BudgetExhaustedError, Metrics, QueryBudget,
                                SpaceFormatError, TabularSpace,
                                UnknownGenotypeError, brute_force_best,
