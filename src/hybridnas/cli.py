@@ -114,6 +114,12 @@ def _coerce(key: str, raw: str, target_type, line_no: int | None = None):
         raise ValueError(f"bad value for {key}{where}: {raw!r} is not {target_type.__name__}")
 
 
+def _check_seed(seed: int) -> None:
+    # numpy's own message for a negative seed does not say which input it is
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+
+
 def _field_types() -> dict[str, type]:
     defaults = RunConfig()
     return {f.name: type(getattr(defaults, f.name)) for f in fields(RunConfig)}
@@ -146,6 +152,7 @@ def parse_config(file_path: str | None, flag_overrides: dict | None = None
                          f"{cfg.log_format!r}")
     cfg.settings()   # validate invariants up front
     cfg.layout()
+    _check_seed(cfg.seed)
     return cfg
 
 
@@ -253,6 +260,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
+    _check_seed(args.seed)
     seeds = [args.seed + i for i in range(args.seeds)]
     config = SwarmConfig(pop_size=args.pop_size, phi=args.phi,
                          swarm_bound=args.bound)
@@ -271,6 +279,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen_space(args: argparse.Namespace) -> int:
+    _check_seed(args.seed)
     layout = _parse_layout(args.num_nodes, args.ops)
     space = generate_space(layout, args.seed, name=args.name)
     save_space(space, args.out)
@@ -289,6 +298,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def _cmd_check_grad(args: argparse.Namespace) -> int:
+    _check_seed(args.seed)
     layout = _parse_layout(args.num_nodes, args.ops)
     state, alpha, x, y = make_gradcheck_problem(
         layout, args.seed, batch=args.batch, feature_dim=args.feature_dim)

@@ -23,8 +23,9 @@ from .fitness import (FitnessWeights, HistoryArchive, base_fitness,
                       update_history)
 from .runtime import RandomStream
 from .supernet import (ArchLayout, Genotype, SupernetState, SyntheticDataset,
-                       decode, discretize, grad_alpha, grad_weights, loss,
-                       op_frequencies, sgd_step_weights, validation_accuracy)
+                       decode, discretize, embed, grad_alpha, grad_weights,
+                       loss, op_frequencies, sgd_step_weights,
+                       validation_accuracy)
 from .swarm import SwarmConfig, evolve_generation, init_population
 from .tabular import QueryBudget, TabularSpace, evaluate_position, query
 
@@ -152,7 +153,9 @@ class SearchResult:
 class SupernetBackend:
     """Differentiable backend: fitness comes from validation loss of the
     shared-weight supernet at the decoded architecture.  ``loss_max`` is the
-    cross-entropy of a uniform prediction."""
+    cross-entropy of a uniform prediction.  An eval batch carries its
+    embedding, so every particle scored on it shares the alpha-free part of
+    the forward pass; the weights change only in ``train_weight_epoch``."""
 
     def __init__(self, layout: ArchLayout, dataset: SyntheticDataset,
                  state: SupernetState):
@@ -165,12 +168,13 @@ class SupernetBackend:
     def make_eval_batch(self, batch_size: int, rng: np.random.Generator):
         n = self.dataset.val_x.shape[0]
         idx = rng.choice(n, size=min(batch_size, n), replace=False)
-        return self.dataset.val_x[idx], self.dataset.val_y[idx]
+        bx = self.dataset.val_x[idx]
+        return bx, self.dataset.val_y[idx], embed(self.state, bx)
 
     def position_loss(self, position: np.ndarray, eval_batch) -> tuple[float, Genotype]:
         alpha = decode(position, self.layout)
-        bx, by = eval_batch
-        return loss(self.state, alpha, bx, by), discretize(alpha)
+        bx, by, emb = eval_batch
+        return loss(self.state, alpha, bx, by, embedding=emb), discretize(alpha)
 
     def train_weight_epoch(self, alpha: np.ndarray, eta_w: float,
                            batch_size: int, rng: np.random.Generator) -> None:

@@ -84,7 +84,9 @@ def swarm_diversity(x: np.ndarray, history: HistoryArchive) -> float:
     # 1e-9 margin (the floor covers underflow), so the nearest row always passes.
     cutoff = sq.min() * (1 + 1e-9) + 1e-300
     near = np.flatnonzero(~(sq > cutoff))   # NaN rows pass: a NaN x scores NaN
-    d_min = min(float(np.linalg.norm(diff[i])) for i in near)
+    # sqrt(v.dot(v)) is np.linalg.norm of a 1-D float vector, and sqrt is
+    # monotone, so taking it after the min gives norm's minimum bit for bit.
+    d_min = math.sqrt(min(float(diff[i].dot(diff[i])) for i in near))
     return math.tanh(d_min / math.sqrt(history.dimension))
 
 

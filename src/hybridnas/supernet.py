@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -58,7 +59,9 @@ def param_dimension(num_nodes: int, num_ops: int) -> int:
 
 @dataclass(frozen=True)
 class ArchLayout:
-    """Topology of the search space."""
+    """Topology of the search space.  The derived sizes are computed once
+    per instance; they are not fields, so equality and hashing read only
+    ``num_nodes`` and ``candidate_ops``."""
 
     num_nodes: int = 2
     candidate_ops: tuple[str, ...] = DEFAULT_OPS
@@ -76,19 +79,19 @@ class ArchLayout:
         if dup:
             raise ValueError(f"duplicate candidate ops: {dup}")
 
-    @property
+    @cached_property
     def num_ops(self) -> int:
         return len(self.candidate_ops)
 
-    @property
+    @cached_property
     def edges_per_cell(self) -> int:
         return sum(i + 2 for i in range(self.num_nodes))
 
-    @property
+    @cached_property
     def dimension(self) -> int:
         return param_dimension(self.num_nodes, self.num_ops)
 
-    @property
+    @cached_property
     def param_slots(self) -> tuple[int | None, ...]:
         """Per-op index into the weight tensor, None for parameter-free ops."""
         slots, k = [], 0
@@ -100,7 +103,7 @@ class ArchLayout:
                 k += 1
         return tuple(slots)
 
-    @property
+    @cached_property
     def num_param_ops(self) -> int:
         return sum(1 for s in self.param_slots if s is not None)
 
@@ -240,13 +243,67 @@ class CellTrace:
     out: np.ndarray           # cell output, concat @ proj_w[cell]
 
 
+@dataclass(frozen=True, eq=False)
+class Embedding:
+    """The part of a forward pass over one batch that does not read alpha:
+    the stem output and the op transforms of cell 0's input-node edges.
+    ``embed`` makes it; ``forward`` and ``loss`` take it for that same
+    batch array while the weights equal the copy kept here."""
+
+    x: object                 # the batch array it was made from
+    stem: np.ndarray          # x @ stem_w + stem_b
+    # (pre-activations, outputs) of each of cell 0's 2 * num_nodes
+    # input-node edges, in edge order, as in CellTrace.edges
+    edges: tuple[tuple, ...]
+    weights: np.ndarray       # a copy of state.weights when it was made
+
+
+def _edge_transform(state: SupernetState, cell: int, edge: int,
+                    x: np.ndarray) -> tuple:
+    """(pre-activations, outputs) of all parametric ops on one edge, from
+    one stacked matmul; (None, None) when the layout has none."""
+    layout = state.layout
+    if not layout.num_param_ops:
+        return None, None
+    pre = x @ state.op_w[cell, edge] + state.op_b[cell, edge][:, None, :]
+    out = np.empty_like(pre)
+    for op, k in zip(layout.candidate_ops, layout.param_slots):
+        if k is not None:
+            out[k] = _ACTIVATIONS[op][0](pre[k])
+    return pre, out
+
+
+def _stem(state: SupernetState, x) -> np.ndarray:
+    """Stem output of a non-empty (n, in_dim) batch."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2 or x.shape[0] == 0 or x.shape[1] != state.in_dim:
+        raise ValueError(f"batch has shape {x.shape}, expected a non-empty "
+                         f"(n, {state.in_dim}) array")
+    return x @ state.stem_w + state.stem_b
+
+
+def embed(state: SupernetState, x: np.ndarray) -> Embedding:
+    """The alpha-free part of the forward pass over a non-empty
+    (n, in_dim) batch.  Its arrays are read-only."""
+    s = _stem(state, x)
+    edges, first = [], 0
+    for t in range(state.layout.num_nodes):
+        edges += [_edge_transform(state, 0, first + i, s) for i in (0, 1)]
+        first += t + 2
+    emb = Embedding(x, s, tuple(edges), state.weights.copy())
+    for a in (s, emb.weights, *(a for e in edges for a in e if a is not None)):
+        a.flags.writeable = False
+    return emb
+
+
 def _cell_forward(state: SupernetState, cell: int, weights: np.ndarray,
-                  s: np.ndarray, traces: list[CellTrace] | None):
-    """One cell; ``weights`` are its (edges, ops) mixing weights.  Each edge
-    transforms its input for all parametric ops in one stacked matmul."""
+                  s: np.ndarray, traces: list[CellTrace] | None,
+                  input_edges: tuple[tuple, ...] | None = None):
+    """One cell; ``weights`` are its (edges, ops) mixing weights.  The op
+    transforms of the input-node edges come from ``input_edges`` when it is
+    given (an Embedding's ``edges``) and are computed otherwise."""
     layout = state.layout
     ops = tuple(enumerate(zip(layout.candidate_ops, layout.param_slots)))
-    stacked = layout.num_param_ops > 0
     nodes = [s, s]
     edge = 0
     edge_trace = []
@@ -255,17 +312,17 @@ def _cell_forward(state: SupernetState, cell: int, weights: np.ndarray,
         for i in range(t + 2):
             x = nodes[i]
             w = weights[edge]
-            pre = out = None
-            if stacked:
-                pre = x @ state.op_w[cell, edge] + state.op_b[cell, edge][:, None, :]
-                out = np.empty_like(pre)
+            pre = out = None   # free the last edge's transforms first
+            if i < 2 and input_edges is not None:
+                pre, out = input_edges[2 * t + i]
+            else:
+                pre, out = _edge_transform(state, cell, edge, x)
             # mixed in op order, whatever the order of candidate_ops
             mixed = np.zeros(x.shape)
             for o, (op, k) in ops:
                 if op == "skip":
                     mixed += w[o] * x
                 elif k is not None:
-                    out[k] = _ACTIVATIONS[op][0](pre[k])
                     mixed += w[o] * out[k]
             acc = acc + mixed
             if traces is not None:
@@ -280,17 +337,26 @@ def _cell_forward(state: SupernetState, cell: int, weights: np.ndarray,
 
 
 def forward(state: SupernetState, alpha: np.ndarray, x: np.ndarray,
-            traces: list[CellTrace] | None = None) -> np.ndarray:
+            traces: list[CellTrace] | None = None, *,
+            embedding: Embedding | None = None) -> np.ndarray:
     """Logits for a non-empty (n, in_dim) batch; with ``traces`` given,
-    appends one CellTrace per cell."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2 or x.shape[0] == 0 or x.shape[1] != state.in_dim:
-        raise ValueError(f"batch has shape {x.shape}, expected a non-empty "
-                         f"(n, {state.in_dim}) array")
+    appends one CellTrace per cell.  ``embedding``, if given, must come
+    from ``embed(state, x)`` for this same ``x`` array, with the weights
+    unchanged since; the result is bitwise the same as without it.
+    Without it, the input-node edges are transformed one at a time, like
+    every other edge, so a large batch never holds all of them at once."""
+    if embedding is None:
+        s, input_edges = _stem(state, x), None
+    elif embedding.x is not x:
+        raise ValueError("embedding was made from a different batch array")
+    elif not np.array_equal(embedding.weights, state.weights):
+        raise ValueError("embedding is stale: the weights changed since it "
+                         "was made")
+    else:
+        s, input_edges = embedding.stem, embedding.edges
     weights = edge_weights(alpha)
-    h = x @ state.stem_w + state.stem_b
-    for cell in range(2):
-        h = _cell_forward(state, cell, weights[cell], h, traces)
+    h = _cell_forward(state, 0, weights[0], s, traces, input_edges)
+    h = _cell_forward(state, 1, weights[1], h, traces)
     return h @ state.cls_w + state.cls_b
 
 
@@ -311,9 +377,9 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def loss(state: SupernetState, alpha: np.ndarray, x: np.ndarray,
-         y: np.ndarray) -> float:
-    """Mean cross-entropy over the batch."""
-    logp = _log_softmax(forward(state, alpha, x))
+         y: np.ndarray, *, embedding: Embedding | None = None) -> float:
+    """Mean cross-entropy over the batch; ``embedding`` as in ``forward``."""
+    logp = _log_softmax(forward(state, alpha, x, embedding=embedding))
     y = _labels(state, y, logp.shape[0])
     return float(-logp[np.arange(y.size), y].mean())
 

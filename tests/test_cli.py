@@ -3,6 +3,9 @@
 import csv
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -297,6 +300,37 @@ def test_unused_seed_flag_is_rejected(tmp_path, capsys):
     assert rc != 0
     assert "unrecognized arguments: --dataset-seed" in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["search", "--seed", "-1", "--max-epochs", "1"],
+    ["search", "--config", "{config}", "--max-epochs", "1"],
+    ["bench", "--seed", "-1", "--dim", "3", "--budget", "60", "--seeds", "1"],
+    ["gen-space", "--seed", "-1"],
+    ["check-grad", "--seed", "-1", "--num-nodes", "1", "--feature-dim", "4"],
+], ids=["search", "search-config", "bench", "gen-space", "check-grad"])
+def test_negative_seed_is_named_before_run(tmp_path, capsys, argv):
+    # numpy's own message, "expected non-negative integer", named no input.
+    out = tmp_path / "out"
+    config = write(tmp_path, "c.txt", "seed = -1\n")
+    argv = [a.replace("{config}", config) for a in argv]
+    argv += ["--out", str(out)] if argv[0] in ("search", "gen-space") else []
+    assert main_cli(argv) == 1
+    printed = capsys.readouterr()
+    assert printed.out == ""
+    assert printed.err == "error: seed must be a non-negative integer, got -1\n"
+    assert not out.exists()
+
+
+def test_module_entry_point_runs_from_a_checkout():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "hybridnas", "check-grad",
+                           "--help"], capture_output=True, text=True, env=env,
+                          timeout=60, check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: hybridnas check-grad")
 
 
 def test_nonfinite_values_rejected_before_run(tmp_path, capsys):

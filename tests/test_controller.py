@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from hybridnas import controller
 from hybridnas.controller import (SearchSettings, Stage, StageConfig, StopMode,
                                   SupernetBackend, TabularBackend, Termination,
                                   hoeffding_epsilon, run_search, select_best,
@@ -262,3 +263,32 @@ def test_tabular_backend_rejects_layout_mismatch():
 def test_backend_loss_max():
     assert make_tabular_backend().loss_max == 1.0
     assert make_supernet_backend().loss_max == pytest.approx(math.log(3))
+
+
+def test_supernet_search_embeds_each_eval_batch_once(monkeypatch):
+    # Every particle's loss in a generation, and the epoch's base-fitness
+    # pass, reuse the generation's embedding: E*G embeddings for E*(G+1)*P
+    # loss calls.
+    calls = {"embed": 0, "loss": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            if name == "loss":
+                assert kwargs["embedding"] is not None
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(controller, name,
+                            counted(name, getattr(controller, name)))
+    settings = SearchSettings(
+        stage=StageConfig(warmup_epochs=1, stability_threshold=0.99,
+                          max_total_epochs=3, batch_size=16),
+        swarm=SwarmConfig(pop_size=6, generations_per_epoch=2))
+    result = run_search(settings, make_supernet_backend(n_train=60, n_val=30),
+                        seed=0)
+    e = sum(r.stage == Stage.EXPLORATION.value for r in result.records)
+    g, p = 2, 6
+    assert e == 2
+    assert calls == {"embed": e * g, "loss": e * (g + 1) * p}

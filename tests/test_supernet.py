@@ -1,5 +1,6 @@
 """Tests for the differentiable supernet, genotypes and gradients."""
 
+import dataclasses
 import hashlib
 import math
 import re
@@ -12,10 +13,11 @@ from hypothesis import strategies as st
 from hybridnas.cli import main_cli
 from hybridnas.gradcheck import (check_gradients, make_gradcheck_problem,
                                  min_kink_distance)
-from hybridnas.supernet import (_ACTIVATIONS, KNOWN_OPS, ArchLayout,
-                                Genotype, SupernetState, SyntheticDataset,
-                                decode, discretize, edge_weights, forward,
-                                grad_alpha, grad_weights, loss,
+from hybridnas.supernet import (_ACTIVATIONS, KNOWN_OPS, PARAM_FREE_OPS,
+                                ArchLayout, Genotype, SupernetState,
+                                SyntheticDataset, decode, discretize,
+                                edge_weights, embed, forward, grad_alpha,
+                                grad_weights, loss,
                                 loss_and_grads, op_frequencies,
                                 param_dimension, parameter_free_fraction,
                                 sgd_step_weights, validation_accuracy)
@@ -41,6 +43,28 @@ def test_param_dimension_validation():
         param_dimension(0, 5)
     with pytest.raises(ValueError):
         param_dimension(2, 0)
+
+
+@pytest.mark.parametrize("num_nodes, ops", [
+    (1, ("zero",)), (2, ("tanh_linear", "zero", "linear", "skip")),
+    (3, ("skip", "zero")), (4, KNOWN_OPS)])
+def test_layout_derived_sizes_are_cached_and_frozen(num_nodes, ops):
+    layout = ArchLayout(num_nodes, ops)
+    slots, k = [], 0
+    for op in ops:
+        slots.append(None if op in PARAM_FREE_OPS else k)
+        k += op not in PARAM_FREE_OPS
+    edges = sum(i + 2 for i in range(num_nodes))
+    expected = {"num_ops": len(ops), "edges_per_cell": edges,
+                "dimension": 2 * edges * len(ops), "param_slots": tuple(slots),
+                "num_param_ops": k}
+    for _ in range(2):   # computed, then read back from the cache
+        assert {name: getattr(layout, name) for name in expected} == expected
+    fresh = ArchLayout(num_nodes, ops)
+    assert layout == fresh and hash(layout) == hash(fresh)
+    for name in ("num_nodes", "candidate_ops", *expected):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(layout, name, 1)
 
 
 def test_layout_rejects_unknown_ops():
@@ -243,6 +267,62 @@ def test_labels_must_match_batch(y):
     for fn in (loss, loss_and_grads, validation_accuracy):
         with pytest.raises(ValueError, match=r"labels must be 4 integers in \[0, 3\)"):
             fn(state, alpha, x, np.array(y))
+
+
+# ---------------------------------------------------------------- embedding
+
+EMBED_LAYOUTS = [ArchLayout(), ArchLayout(1), ArchLayout(3),
+                 ArchLayout(2, ("zero", "skip")),
+                 ArchLayout(2, ("linear", "skip", "tanh_linear"))]
+
+
+@pytest.mark.parametrize("layout", EMBED_LAYOUTS,
+                         ids=["default", "nodes-1", "nodes-3", "param-free",
+                              "skip-between-parametric"])
+def test_embedding_gives_bitwise_equal_results(layout):
+    rng = np.random.default_rng(7)
+    state = SupernetState.init(layout, rng)
+    for bias in (state.stem_b, state.op_b, state.cls_b):
+        bias[...] = rng.normal(0, 0.3, bias.shape)
+    x = rng.normal(size=(16, 2))
+    y = rng.integers(0, 3, size=16)
+    emb = embed(state, x)
+    assert len(emb.edges) == 2 * layout.num_nodes
+    for _ in range(3):   # one embedding serves many architectures
+        alpha = rng.normal(0, 1.0, (2, layout.edges_per_cell, layout.num_ops))
+        plain, shared = [], []
+        logits = forward(state, alpha, x, plain)
+        assert np.array_equal(forward(state, alpha, x, shared, embedding=emb),
+                              logits)
+        for a, b in zip(plain, shared):
+            assert np.array_equal(a.concat, b.concat)
+            for ea, eb in zip(a.edges, b.edges):
+                assert ea[0] == eb[0]
+                for u, v in zip(ea[1:], eb[1:]):
+                    assert (u is None and v is None) or np.array_equal(u, v)
+        value = loss(state, alpha, x, y, embedding=emb)
+        assert value == loss(state, alpha, x, y)
+        assert value == loss_and_grads(state, alpha, x, y)[0]
+
+
+def test_embedding_is_refused_once_stale_or_for_another_batch():
+    state = SupernetState.init(LAYOUT, np.random.default_rng(0))
+    x = np.random.default_rng(1).normal(size=(4, 2))
+    y = np.array([0, 1, 2, 0])
+    alpha = np.zeros(SHAPE)
+    emb = embed(state, x)
+    assert not emb.stem.flags.writeable
+    with pytest.raises(ValueError, match="different batch array"):
+        loss(state, alpha, x.copy(), y, embedding=emb)
+    with pytest.raises(ValueError, match="different batch array"):
+        forward(state, alpha, x[::-1], embedding=emb)
+    sgd_step_weights(state, grad_weights(state, alpha, x, y), 0.025)
+    for call in (lambda: loss(state, alpha, x, y, embedding=emb),
+                 lambda: forward(state, alpha, x, embedding=emb)):
+        with pytest.raises(ValueError, match="stale: the weights changed"):
+            call()
+    assert loss(state, alpha, x, y, embedding=embed(state, x)) == \
+        loss(state, alpha, x, y)
 
 
 # ---------------------------------------------------------------- gradients
