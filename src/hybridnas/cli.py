@@ -256,6 +256,12 @@ def _cmd_search(args: argparse.Namespace) -> int:
     print(f"stages completed, termination={result.termination.value}, "
           f"epochs={len(result.records)}")
     print(f"genotype:\n{result.genotype.to_text(cfg.layout())}", end="")
+    if cfg.backend == "tabular":
+        # Held-out quality, read from the table outside the query budget.
+        space = backend.space
+        found = space.at(space.row(result.genotype))
+        regret = brute_force_best(space)[1].valid_acc - found.valid_acc
+        print(f"test_acc={found.test_acc} regret={regret}")
     return 0
 
 

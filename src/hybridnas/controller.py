@@ -245,8 +245,7 @@ class TabularBackend:
         return alpha
 
     def val_accuracy(self, alpha: np.ndarray) -> float:
-        genotype = discretize(alpha)
-        return query(self.space, genotype.key(), self.budget).valid_acc
+        return query(self.space, discretize(alpha), self.budget).valid_acc
 
 
 @dataclass

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import itertools
 import math
+from array import array
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,24 +43,36 @@ class Metrics:
 class QueryBudget:
     queries_used: int = 0
     queries_max: int = 10 ** 9
-    _seen: set[str] = field(default_factory=set)
+    _seen: set[int] = field(default_factory=set)
 
-    def charge(self, key: str) -> None:
-        if key in self._seen:
+    def charge(self, row: int) -> None:
+        if row in self._seen:
             return
         if self.queries_used >= self.queries_max:
             raise BudgetExhaustedError(
                 f"query budget exhausted ({self.queries_max} distinct queries)")
-        self._seen.add(key)
+        self._seen.add(row)
         self.queries_used += 1
 
 
-@dataclass
+@dataclass(eq=False)
 class TabularSpace:
+    """One row of ``metrics`` per genotype, with columns valid_acc,
+    test_acc and cost.  A genotype's row is its op indices read as a
+    mixed-radix number, edge 0 most significant, which is the order of
+    ``itertools.product`` and of a space file.  ``table`` is the read-only
+    view by key string; spaces compare through it, as an array field has no
+    boolean ``==``."""
+
     name: str
     num_edges: int
     op_names: tuple[str, ...]
-    table: dict[str, Metrics]
+    metrics: np.ndarray
+
+    def __post_init__(self):
+        shape = (self.num_ops ** self.num_edges, 3)
+        if self.metrics.shape != shape:
+            raise ValueError(f"metrics has shape {self.metrics.shape}, expected {shape}")
 
     @property
     def num_ops(self) -> int:
@@ -66,12 +80,80 @@ class TabularSpace:
 
     @property
     def size(self) -> int:
-        return len(self.table)
+        return len(self.metrics)
+
+    @property
+    def table(self) -> Mapping[str, Metrics]:
+        return _TableView(self)
+
+    def row(self, genotype: Genotype) -> int:
+        """Row of ``genotype``; UnknownGenotypeError if the space lacks it."""
+        indices = genotype.normal + genotype.reduce
+        o = self.num_ops
+        if len(indices) != self.num_edges or min(indices) < 0 or max(indices) >= o:
+            raise UnknownGenotypeError(
+                f"unknown genotype {genotype.key()!r} for space {self.name!r}")
+        row = 0
+        for i in indices:
+            row = row * o + i
+        return row
+
+    def at(self, row: int) -> Metrics:
+        """The metrics of one row, as Python floats."""
+        return Metrics(*self.metrics[row].tolist())
 
 
-def _all_keys(num_edges: int, num_ops: int):
-    for combo in itertools.product(range(num_ops), repeat=num_edges):
-        yield combo
+class _TableView(Mapping):
+    """Genotype key -> Metrics, built from the space's row on access."""
+
+    def __init__(self, space: TabularSpace):
+        self._space = space
+
+    def __getitem__(self, key) -> Metrics:
+        s = self._space
+        row = _key_row(key, s.num_edges, s.num_ops) if isinstance(key, str) else None
+        if row is None:
+            raise KeyError(key)
+        return s.at(row)
+
+    def __iter__(self):
+        return _keys(self._space.num_edges, self._space.num_ops)
+
+    def __len__(self) -> int:
+        return self._space.size
+
+
+def _keys(num_edges: int, num_ops: int):
+    """Every genotype key, lazily, in row order."""
+    digits = [str(i) for i in range(num_ops)]
+    return map("-".join, itertools.product(digits, repeat=num_edges))
+
+
+def _key_row(key: str, num_edges: int, num_ops: int) -> int | None:
+    """Row of a key spelled as ``genotype_key`` writes it, else None."""
+    parts = key.split("-")
+    if len(parts) != num_edges:
+        return None
+    row = 0
+    for part in parts:
+        try:
+            i = int(part)
+        except ValueError:
+            return None
+        # One spelling per index: no sign, padding, leading zero or
+        # non-ASCII digit, all of which int() accepts.
+        if str(i) != part or i >= num_ops:
+            return None
+        row = row * num_ops + i
+    return row
+
+
+def _row_key(row: int, num_edges: int, num_ops: int) -> str:
+    indices = []
+    for _ in range(num_edges):
+        row, i = divmod(row, num_ops)
+        indices.append(i)
+    return genotype_key(indices[::-1])
 
 
 def save_space(space: TabularSpace, path: str) -> None:
@@ -79,77 +161,91 @@ def save_space(space: TabularSpace, path: str) -> None:
         fh.write(f"name={space.name}\n")
         fh.write(f"edges={space.num_edges}\n")
         fh.write(f"ops={','.join(space.op_names)}\n")
-        for combo in _all_keys(space.num_edges, space.num_ops):
-            key = genotype_key(combo)
-            m = space.table[key]
-            fh.write(f"{key},{m.valid_acc!r},{m.test_acc!r},{m.cost!r}\n")
+        # tolist() gives Python floats, whose repr is the bare number.
+        for key, (va, ta, cost) in zip(space.table, space.metrics.tolist()):
+            fh.write(f"{key},{va!r},{ta!r},{cost!r}\n")
 
 
 def load_space(path: str) -> TabularSpace:
     """Parse and fully validate a space file; the table must cover the
     exact cross-product of per-edge op choices."""
     with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    header = {}
-    rows_start = 0
-    for i, ln in enumerate(lines[:3]):
-        if "=" not in ln:
-            raise SpaceFormatError(f"line {i + 1}: expected header 'key=value', got {ln!r}")
-        k, v = ln.split("=", 1)
-        header[k.strip()] = v.strip()
-        rows_start = i + 1
-    for req in ("name", "edges", "ops"):
-        if req not in header:
-            raise SpaceFormatError(f"missing header line '{req}='")
-    try:
-        num_edges = int(header["edges"])
-        if num_edges < 1:
-            raise ValueError
-    except ValueError:
-        raise SpaceFormatError(f"header 'edges=' must be a positive integer, "
-                               f"got {header['edges']!r}") from None
-    op_names = tuple(o.strip() for o in header["ops"].split(","))
-    # The only spellings of an op index that a key may use: no sign, padding
-    # or leading zero, so every accepted key is the one genotype_key writes.
-    digits = {str(i) for i in range(len(op_names))}
-
-    table: dict[str, Metrics] = {}
-    for i, ln in enumerate(lines[rows_start:], start=rows_start + 1):
-        if not ln.strip():
-            continue
-        parts = ln.split(",")
-        if len(parts) != 4:
-            raise SpaceFormatError(f"line {i}: expected 4 fields, got {len(parts)}")
-        key, va, ta, cost = parts
-        idx = key.split("-")
-        if len(idx) != num_edges or not digits.issuperset(idx):
-            raise SpaceFormatError(f"line {i}: bad genotype key {key!r}")
-        if key in table:
-            raise SpaceFormatError(f"line {i}: duplicate genotype {key!r}")
+        header = {}
+        for i, ln in zip(range(3), fh):
+            ln = ln.rstrip("\n")
+            if "=" not in ln:
+                raise SpaceFormatError(f"line {i + 1}: expected header 'key=value', got {ln!r}")
+            k, v = ln.split("=", 1)
+            header[k.strip()] = v.strip()
+        for req in ("name", "edges", "ops"):
+            if req not in header:
+                raise SpaceFormatError(f"missing header line '{req}='")
         try:
-            m = Metrics(float(va), float(ta), float(cost))
-        except ValueError as exc:
-            raise SpaceFormatError(f"line {i}: {exc}") from None
-        for acc in (m.valid_acc, m.test_acc):
-            if not 0.0 <= acc <= 1.0:
-                raise SpaceFormatError(f"line {i}: accuracy {acc} out of range for {key!r}")
-        table[key] = m
+            num_edges = int(header["edges"])
+            if num_edges < 1:
+                raise ValueError
+        except ValueError:
+            raise SpaceFormatError(f"header 'edges=' must be a positive integer, "
+                                   f"got {header['edges']!r}") from None
+        op_names = tuple(o.strip() for o in header["ops"].split(","))
+        if "" in op_names or len(set(op_names)) < len(op_names):
+            raise SpaceFormatError(f"header 'ops=' must name distinct, non-empty ops, "
+                                   f"got {header['ops']!r}")
+        num_ops = len(op_names)
+        n = num_ops ** num_edges
 
-    # Accepted keys are canonical and unique, so the count alone proves the
-    # table covers the cross-product; the scan only names a missing key.
-    if len(table) != len(op_names) ** num_edges:
-        for combo in _all_keys(num_edges, len(op_names)):
-            if genotype_key(combo) not in table:
-                raise SpaceFormatError(f"missing genotype {genotype_key(combo)!r}")
-    return TabularSpace(header["name"], num_edges, op_names, table)
+        # Rows usually come in row order, as save_space writes them: a key
+        # equal to the next canonical one is row p without parsing.  Any
+        # other key is parsed.  Nothing of size n is built before the file
+        # has covered the table.
+        canonical = _keys(num_edges, num_ops)
+        ahead, p = next(canonical), 0   # rows 0..p-1 came in order
+        values = array("d")             # their metrics, row-major
+        scattered = {}                  # row -> metrics of every other row
+        for i, ln in enumerate(fh, start=4):
+            if not ln.strip():
+                continue
+            parts = ln.rstrip("\n").split(",")
+            if len(parts) != 4:
+                raise SpaceFormatError(f"line {i}: expected 4 fields, got {len(parts)}")
+            key, va, ta, cost = parts
+            row = p if key == ahead else _key_row(key, num_edges, num_ops)
+            if row is None:
+                raise SpaceFormatError(f"line {i}: bad genotype key {key!r}")
+            if row < p or row in scattered:
+                raise SpaceFormatError(f"line {i}: duplicate genotype {key!r}")
+            try:
+                va, ta, cost = float(va), float(ta), float(cost)
+            except ValueError as exc:
+                raise SpaceFormatError(f"line {i}: {exc}") from None
+            if not math.isfinite(cost):
+                raise SpaceFormatError(f"line {i}: cost {cost} is not finite for {key!r}")
+            for acc in (va, ta):
+                if not 0.0 <= acc <= 1.0:
+                    raise SpaceFormatError(f"line {i}: accuracy {acc} out of range for {key!r}")
+            if row == p:
+                values.extend((va, ta, cost))
+                ahead, p = next(canonical, None), p + 1
+            else:
+                scattered[row] = (va, ta, cost)
+
+    # Accepted rows are distinct, so the count alone proves coverage; the
+    # scan only names the first missing key.
+    if p + len(scattered) != n:
+        missing = next(r for r in itertools.count(p) if r not in scattered)
+        raise SpaceFormatError(f"missing genotype {_row_key(missing, num_edges, num_ops)!r}")
+    metrics = np.empty((n, 3))
+    metrics[:p] = np.frombuffer(values).reshape(p, 3)
+    for row, m in scattered.items():
+        metrics[row] = m
+    return TabularSpace(header["name"], num_edges, op_names, metrics)
 
 
-def query(space: TabularSpace, key: str, budget: QueryBudget) -> Metrics:
+def query(space: TabularSpace, genotype: Genotype, budget: QueryBudget) -> Metrics:
     """Budgeted metric lookup; repeated identical queries are cached and free."""
-    if key not in space.table:
-        raise UnknownGenotypeError(f"unknown genotype {key!r} for space {space.name!r}")
-    budget.charge(key)
-    return space.table[key]
+    row = space.row(genotype)
+    budget.charge(row)
+    return space.at(row)
 
 
 def evaluate_position(space: TabularSpace, position: np.ndarray,
@@ -163,28 +259,22 @@ def evaluate_position(space: TabularSpace, position: np.ndarray,
         raise ValueError(f"layout has {2 * layout.edges_per_cell} edges, "
                          f"space expects {space.num_edges}")
     genotype = discretize(decode(position, layout))
-    metrics = query(space, genotype.key(), budget)
+    metrics = query(space, genotype, budget)
     return 1.0 - metrics.valid_acc, genotype
 
 
 def brute_force_best(space: TabularSpace) -> tuple[str, Metrics]:
-    """Exhaustive scan for the maximum validation accuracy; ties go to the
+    """Maximum validation accuracy; ties go to the lowest row, which is the
     lexicographically smallest genotype."""
-    best_key, best = None, None
-    for combo in _all_keys(space.num_edges, space.num_ops):
-        key = genotype_key(combo)
-        m = space.table[key]
-        if best is None or m.valid_acc > best.valid_acc:
-            best_key, best = key, m
-    return best_key, best
+    row = int(space.metrics[:, 0].argmax())
+    return _row_key(row, space.num_edges, space.num_ops), space.at(row)
 
 
 def ranking(space: TabularSpace) -> list[str]:
     """All genotype keys sorted best-first by validation accuracy (ties by
     index tuple)."""
-    keys = [genotype_key(c) for c in _all_keys(space.num_edges, space.num_ops)]
-    return sorted(keys, key=lambda k: (-space.table[k].valid_acc,
-                                       tuple(int(i) for i in k.split("-"))))
+    keys = list(_keys(space.num_edges, space.num_ops))
+    return [keys[r] for r in np.argsort(-space.metrics[:, 0], kind="stable").tolist()]
 
 
 def generate_space(layout: ArchLayout, seed: int,
@@ -202,21 +292,20 @@ def generate_space(layout: ArchLayout, seed: int,
     pairs = [(a, b) for a in range(e) for b in range(a + 1, e)]
     interact = rng.normal(0, 0.6, (len(pairs), o, o))
 
-    scores = {}
-    for combo in _all_keys(e, o):
+    scores = []
+    for combo in itertools.product(range(o), repeat=e):
         s = sum(utility[i, c] for i, c in enumerate(combo))
         s += sum(interact[p, combo[a], combo[b]] for p, (a, b) in enumerate(pairs))
         s += 0.05 * rng.normal()
-        scores[combo] = s
-    vals = np.array(list(scores.values()))
-    lo, hi = vals.min(), vals.max()
+        scores.append(s)
+    lo, hi = min(scores), max(scores)
 
-    table = {}
-    for combo, s in scores.items():
+    rows = []
+    for s in scores:
         t = (s - lo) / (hi - lo) if hi > lo else 0.5
         # convex ramp: most genotypes sit near 0.3, few approach 0.95
         valid = 0.3 + 0.65 * t ** 6
         test = min(1.0, max(0.0, valid + 0.01 * rng.normal()))
-        cost = float(math.exp(rng.normal(0, 0.3)))
-        table[genotype_key(combo)] = Metrics(float(valid), float(test), cost)
-    return TabularSpace(name, e, layout.candidate_ops, table)
+        cost = math.exp(rng.normal(0, 0.3))
+        rows.append((valid, test, cost))
+    return TabularSpace(name, e, layout.candidate_ops, np.array(rows))

@@ -15,6 +15,7 @@ from hybridnas.cli import (EpochLogger, RunConfig, build_parser,
 from hybridnas.controller import EpochRecord, TabularBackend
 from hybridnas.supernet import DEFAULT_OPS, ArchLayout, Genotype
 from hybridnas.swarm import SwarmConfig
+from hybridnas.tabular import brute_force_best, load_space
 
 
 def write(tmp_path, name, text):
@@ -203,6 +204,27 @@ def test_gen_space_oracle_and_search(tmp_path, capsys):
     rows = read_log(os.path.join(out_dir, "log.csv"))
     assert len(rows) >= 2
     assert rows[0]["stage"] == "warmup"
+
+
+def test_tabular_search_prints_heldout_quality(tmp_path, capsys):
+    space_path = str(tmp_path / "space.txt")
+    main_cli(["gen-space", "--ops", "zero,skip,linear", "--seed", "5",
+              "--out", space_path])
+    out_dir = str(tmp_path / "run")
+    capsys.readouterr()
+    rc = main_cli(["search", "--backend", "tabular", "--space", space_path,
+                   "--num-nodes", "1", "--ops", "zero,skip,linear",
+                   "--pop-size", "21", "--warmup-epochs", "1",
+                   "--max-epochs", "6", "--seed", "3", "--out", out_dir])
+    assert rc == 0
+    ops = ["zero", "skip", "linear"]
+    with open(os.path.join(out_dir, "genotype.txt"), encoding="utf-8") as fh:
+        key = "-".join(str(ops.index(op)) for ln in fh.read().splitlines()
+                       for op in ln.split(","))
+    space = load_space(space_path)
+    found, best = space.table[key], brute_force_best(space)[1]
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        f"test_acc={found.test_acc} regret={best.valid_acc - found.valid_acc}")
 
 
 def test_oracle_names_line_of_noncanonical_key(tmp_path, capsys):

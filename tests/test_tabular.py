@@ -1,9 +1,15 @@
 """Tests for the tabular space: format, budget, oracle, generator."""
 
+import hashlib
+import itertools
+import time
+import tracemalloc
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
-from hybridnas.supernet import ArchLayout
+from hybridnas.supernet import ArchLayout, Genotype
 from hybridnas.tabular import (BudgetExhaustedError, Metrics, QueryBudget,
                                SpaceFormatError, TabularSpace,
                                UnknownGenotypeError, brute_force_best,
@@ -11,6 +17,12 @@ from hybridnas.tabular import (BudgetExhaustedError, Metrics, QueryBudget,
                                load_space, query, ranking, save_space)
 
 LAYOUT = ArchLayout(1, ("zero", "skip", "linear"))   # 2 edges/cell, 4 total
+
+
+def space_from_table(name, num_edges, op_names, table):
+    """A space from key -> Metrics, listed in row order."""
+    return TabularSpace(name, num_edges, op_names,
+                        np.array([astuple(m) for m in table.values()]))
 
 
 @pytest.fixture(scope="module")
@@ -111,7 +123,7 @@ def test_load_round_trip_keeps_two_digit_indices_and_order(tmp_path):
     table = {genotype_key((a, b)): Metrics(0.5, 0.25, 1.0 + a)
              for a in range(12) for b in range(12)}
     path = str(tmp_path / "space.txt")
-    save_space(TabularSpace("wide", 2, ops, table), path)
+    save_space(space_from_table("wide", 2, ops, table), path)
     back = load_space(path)
     assert list(back.table.items()) == list(table.items())
 
@@ -148,35 +160,123 @@ def test_load_wrong_field_count(tmp_path):
         load_space(path)
 
 
+# 'ops=a,a' used to load, and 'ops=' failed only at coverage.
+@pytest.mark.parametrize("ops, rows", [
+    ("zero,zero", ["0,0.5,0.5,1.0", "1,0.5,0.5,1.0"]), ("", ["0,0.5,0.5,1.0"]),
+], ids=["repeated", "empty"])
+def test_load_bad_ops_header_names_header(tmp_path, ops, rows):
+    path = _write_lines(tmp_path, ["name=x", "edges=1", f"ops={ops}"] + rows)
+    with pytest.raises(SpaceFormatError, match=f"^header 'ops=' .*'{ops}'$"):
+        load_space(path)
+
+
+@pytest.mark.parametrize("cost", ["nan", "inf", "-inf"])
+def test_load_non_finite_cost_names_line(tmp_path, cost):
+    path = _write_lines(tmp_path, [
+        "name=x", "edges=1", "ops=zero,skip",
+        "0,0.5,0.5,1.0", f"1,0.5,0.5,{cost}"])
+    with pytest.raises(SpaceFormatError,
+                       match=f"^line 5: cost {cost} is not finite for '1'$"):
+        load_space(path)
+
+
+def test_load_unrowed_wide_space_fails_fast(tmp_path):
+    # 3**40 genotypes: nothing of that size may be built before the rows
+    # show that the file covers the table.
+    path = _write_lines(tmp_path, ["name=x", "edges=40", "ops=a,b,c"])
+    t0 = time.perf_counter()
+    with pytest.raises(SpaceFormatError, match="^missing genotype '0(-0){39}'$"):
+        load_space(path)
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_load_out_of_order_rows(space, tmp_path):
+    # Rows in any order load to the same table; a key repeated after its
+    # in-order twin is still a duplicate.
+    path = str(tmp_path / "space.txt")
+    save_space(space, path)
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    rows = lines[3:]
+    shuffled = lines[:3] + rows[40:] + rows[:40][::-1]
+    assert load_space(_write_lines(tmp_path, shuffled)).table == space.table
+    with pytest.raises(SpaceFormatError, match="^line 6: duplicate genotype '0-0-0-1'$"):
+        load_space(_write_lines(tmp_path, lines[:3] + [rows[1]] + rows))
+
+
+def test_load_retains_little_more_than_the_metrics(tmp_path):
+    rng = np.random.default_rng(0)
+    big = TabularSpace("big", 10, ("zero", "skip", "linear"),
+                       rng.uniform(0.1, 0.9, (3 ** 10, 3)))
+    path = str(tmp_path / "big.txt")
+    save_space(big, path)
+    tracemalloc.start()
+    try:
+        back = load_space(path)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back.metrics, big.metrics)
+    # A table of one Metrics per key string retained 15.9 MB here.
+    assert retained <= 2 * back.metrics.nbytes
+    assert peak <= 4 * back.metrics.nbytes
+
+
+# ---------------------------------------------------------------- table view
+
+def test_table_view_reads_rows_in_key_order(space):
+    keys = [genotype_key(c) for c in itertools.product(range(3), repeat=4)]
+    assert list(space.table) == keys
+    assert len(space.table) == space.size == 81
+    rows = space.metrics.tolist()
+    assert [space.table[k] for k in keys] == [Metrics(*r) for r in rows]
+    # Python floats, so a Metrics prints as it did when the table was a dict.
+    digest = hashlib.sha256(repr(list(space.table.items())).encode()).hexdigest()
+    assert digest == "eefa69ca7ab7dd0b834ed1b62721aa9355da3237f1289560636c4b42af702f80"
+
+
+@pytest.mark.parametrize("key", ["9-9-9-9", "00-0-0-0", "0-0-0", 5])
+def test_table_view_rejects_other_keys(space, key):
+    assert space.table.get(key) is None
+    assert key not in space.table
+    with pytest.raises(KeyError):
+        space.table[key]
+
+
+def test_space_rejects_metrics_of_wrong_shape():
+    with pytest.raises(ValueError, match=r"shape \(8, 3\), expected \(9, 3\)"):
+        TabularSpace("x", 2, ("zero", "skip", "linear"), np.zeros((8, 3)))
+
+
 # ---------------------------------------------------------------- queries
 
 def test_query_budget_counts_distinct_only(space):
     budget = QueryBudget(queries_max=10)
-    key = next(iter(space.table))
+    genotype = Genotype((0, 0), (0, 0))
     for _ in range(5):
-        query(space, key, budget)
+        query(space, genotype, budget)
     assert budget.queries_used == 1
 
 
 def test_query_budget_zero_exhausted(space):
     budget = QueryBudget(queries_max=0)
     with pytest.raises(BudgetExhaustedError, match="exhausted"):
-        query(space, next(iter(space.table)), budget)
+        query(space, Genotype((0, 0), (0, 0)), budget)
 
 
 def test_query_cached_after_budget_exhausted(space):
     budget = QueryBudget(queries_max=1)
-    keys = list(space.table)
-    query(space, keys[0], budget)
-    # a repeat of the cached key stays free even at the cap
-    query(space, keys[0], budget)
+    first, second = Genotype((0, 0), (0, 0)), Genotype((0, 0), (0, 1))
+    query(space, first, budget)
+    # a repeat of the cached genotype stays free even at the cap
+    query(space, first, budget)
     with pytest.raises(BudgetExhaustedError):
-        query(space, keys[1], budget)
+        query(space, second, budget)
 
 
 def test_query_unknown_genotype(space):
     with pytest.raises(UnknownGenotypeError, match="unknown genotype"):
-        query(space, "9-9-9-9", QueryBudget())
+        query(space, Genotype((9, 9), (9, 9)), QueryBudget())
 
 
 def test_evaluate_position_is_loss_proxy(space):
@@ -210,7 +310,7 @@ def test_brute_force_best_is_global_max(space):
 def test_brute_force_ties_lexicographic():
     table = {genotype_key((a, b)): Metrics(0.5, 0.5, 1.0)
              for a in range(2) for b in range(2)}
-    tied = TabularSpace("tie", 2, ("zero", "skip"), table)
+    tied = space_from_table("tie", 2, ("zero", "skip"), table)
     assert brute_force_best(tied)[0] == "0-0"
 
 
@@ -220,6 +320,42 @@ def test_ranking_sorted_and_complete(space):
     assert ranked[0] == brute_force_best(space)[0]
     accs = [space.table[k].valid_acc for k in ranked]
     assert accs == sorted(accs, reverse=True)
+
+
+def _loop_best(space):
+    best_key, best = None, None
+    for combo in itertools.product(range(space.num_ops), repeat=space.num_edges):
+        key = genotype_key(combo)
+        m = space.table[key]
+        if best is None or m.valid_acc > best.valid_acc:
+            best_key, best = key, m
+    return best_key, best
+
+
+def _loop_ranking(space):
+    keys = [genotype_key(c) for c in
+            itertools.product(range(space.num_ops), repeat=space.num_edges)]
+    return sorted(keys, key=lambda k: (-space.table[k].valid_acc,
+                                       tuple(int(i) for i in k.split("-"))))
+
+
+def _oracle_spaces():
+    yield generate_space(LAYOUT, seed=7)
+    yield generate_space(ArchLayout(1, ("zero", "skip")), seed=1)
+    # Accuracies on a 0.1 grid: many ties, which go to the lower index tuple,
+    # and two-digit indices, whose string order is not the tuple order.
+    rng = np.random.default_rng(2)
+    metrics = rng.uniform(0, 1, (144, 3))
+    metrics[:, 0] = metrics[:, 0].round(1)
+    yield TabularSpace("grid", 2, tuple(f"op{i}" for i in range(12)), metrics)
+    yield TabularSpace("tied", 3, ("zero", "skip"), np.full((8, 3), 0.5))
+
+
+@pytest.mark.parametrize("oracle_space", _oracle_spaces(),
+                         ids=["generated", "two-op", "grid", "all-tied"])
+def test_oracle_equals_reference_loops(oracle_space):
+    assert brute_force_best(oracle_space) == _loop_best(oracle_space)
+    assert ranking(oracle_space) == _loop_ranking(oracle_space)
 
 
 def test_generated_space_accuracy_tail_is_thin(space):
