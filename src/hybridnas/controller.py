@@ -248,6 +248,22 @@ class TabularBackend:
         return query(self.space, discretize(alpha), self.budget).valid_acc
 
 
+def op_diversity_memo(layout: ArchLayout):
+    """A function ``genotype -> entropy_diversity(op_frequencies(genotype,
+    layout))`` that computes each value once.  Op frequencies depend only on
+    how often each op is picked, so the memo is keyed by the sorted op
+    indices and holds at most one entry per op-count vector."""
+    memo: dict[tuple[int, ...], float] = {}
+
+    def op_diversity(genotype: Genotype) -> float:
+        key = tuple(sorted(genotype.normal + genotype.reduce))
+        value = memo.get(key)
+        if value is None:
+            value = memo[key] = entropy_diversity(op_frequencies(genotype, layout))
+        return value
+    return op_diversity
+
+
 @dataclass
 class SearchSettings:
     stage: StageConfig = field(default_factory=StageConfig)
@@ -313,6 +329,7 @@ def run_search(config: SearchSettings, backend, seed: int,
         bound = config.swarm.swarm_bound
         swarm.positions[0] = np.clip(alpha.ravel(), -bound, bound)
         history = HistoryArchive(dim, config.history_capacity)
+        op_diversity = op_diversity_memo(layout)
     while not stable and len(records) < cap:
         t0 = clock()
         for _ in range(config.swarm.generations_per_epoch):
@@ -322,7 +339,7 @@ def run_search(config: SearchSettings, backend, seed: int,
                 loss_val, genotype = backend.position_loss(position, eval_batch)
                 b = base_fitness(loss_val, loss_max)
                 sd = swarm_diversity(position, history)
-                od = entropy_diversity(op_frequencies(genotype, layout))
+                od = op_diversity(genotype)
                 return combined_fitness(b, sd, od, config.weights)
 
             evolve_generation(swarm, combined_fn, config.swarm, swarm_rng)

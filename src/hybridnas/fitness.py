@@ -32,7 +32,8 @@ class HistoryArchive:
     """Ring buffer of past positions, used as the reference set for
     parameter-space diversity.  The rows live in one preallocated
     ``(capacity, dimension)`` array; ``add`` overwrites the oldest row once
-    the buffer is full."""
+    the buffer is full.  ``norms[i]`` caches ``rows[i].dot(rows[i])`` for
+    ``swarm_diversity``'s screen, so ``add`` is the only writer of ``rows``."""
 
     def __init__(self, dimension: int, capacity: int = 200):
         if capacity < 1:
@@ -40,6 +41,7 @@ class HistoryArchive:
         self.dimension = dimension
         self.capacity = capacity
         self.rows = np.empty((capacity, dimension))
+        self.norms = np.empty(capacity)
         self.added = 0
 
     def __len__(self) -> int:
@@ -51,7 +53,10 @@ class HistoryArchive:
         return np.roll(self.rows[:len(self)], -self.added, axis=0)
 
     def add(self, position: np.ndarray) -> None:
-        self.rows[self.added % self.capacity] = _position(position, self.dimension)
+        i = self.added % self.capacity
+        row = self.rows[i]
+        row[:] = _position(position, self.dimension)
+        self.norms[i] = row.dot(row)
         self.added += 1
 
 
@@ -76,18 +81,36 @@ def swarm_diversity(x: np.ndarray, history: HistoryArchive) -> float:
     An empty archive means everything is maximally novel (1.0).
     """
     x = _position(x, history.dimension)
-    if not len(history):
+    n = len(history)
+    if not n:
         return 1.0
-    diff = x - history.rows[:len(history)]
-    sq = np.einsum("ij,ij->i", diff, diff)
-    # einsum's squares differ from norm's by about D*eps relative, far inside the
-    # 1e-9 margin (the floor covers underflow), so the nearest row always passes.
-    cutoff = sq.min() * (1 + 1e-9) + 1e-300
-    near = np.flatnonzero(~(sq > cutoff))   # NaN rows pass: a NaN x scores NaN
-    # sqrt(v.dot(v)) is np.linalg.norm of a 1-D float vector, and sqrt is
-    # monotone, so taking it after the min gives norm's minimum bit for bit.
-    d_min = math.sqrt(min(float(diff[i].dot(diff[i])) for i in near))
-    return math.tanh(d_min / math.sqrt(history.dimension))
+    rows, norms = history.rows[:n], history.norms[:n]
+    scale = float(x.dot(x)) + float(norms.max())
+    if scale < 1e300:
+        # |x - r|^2 = |x|^2 + s_r with s_r = |r|^2 - 2 r.x, so one
+        # matrix-vector product ranks every row (x + x is exact).  With
+        # gamma ~ (D+2) eps, s_r is off by at most about gamma (|r|^2 + 2|r||x|)
+        # and the exact step's own ddot by about gamma |x - r|^2, so the
+        # nearest row's s_r exceeds the smallest by less than
+        # 10 gamma (|x|^2 + max |r|^2).  The margin is about 1e6 times that,
+        # and its floor covers underflow.  Below the scale bound nothing
+        # overflows, so s is finite.
+        s = norms - rows @ (x + x)
+        margin = 1e-10 * (history.dimension + 4) * scale + 1e-300
+        near = np.flatnonzero(s <= s[s.argmin()] + margin)
+    else:
+        # A NaN or inf coordinate, or a huge one, scores every row: a NaN x
+        # scores NaN and an inf one 1.0.
+        near = np.arange(n)
+    # sqrt(d.dot(d)) is np.linalg.norm of a contiguous 1-D float vector, and
+    # sqrt is monotone, so taking it after the min gives norm's minimum bit
+    # for bit.  Usually one row is left.
+    if len(near) == 1:
+        d = x - rows[near[0]]
+        sq = float(d.dot(d))
+    else:
+        sq = min(float(d.dot(d)) for d in x - rows[near])
+    return math.tanh(math.sqrt(sq) / math.sqrt(history.dimension))
 
 
 def entropy_diversity(frequencies: np.ndarray) -> float:

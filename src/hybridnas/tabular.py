@@ -220,6 +220,8 @@ def load_space(path: str) -> TabularSpace:
                 raise SpaceFormatError(f"line {i}: {exc}") from None
             if not math.isfinite(cost):
                 raise SpaceFormatError(f"line {i}: cost {cost} is not finite for {key!r}")
+            if cost <= 0.0:
+                raise SpaceFormatError(f"line {i}: cost {cost} is not positive for {key!r}")
             for acc in (va, ta):
                 if not 0.0 <= acc <= 1.0:
                     raise SpaceFormatError(f"line {i}: accuracy {acc} out of range for {key!r}")

@@ -97,6 +97,7 @@ def test_traced_search_matches_untraced(base_cls, make, fitness_span):
     assert explore == 2
     assert t.calls("swarm.generation") == explore * g
     assert t.calls(fitness_span) == explore * (g + 1) * p
+    assert t.calls("fitness.swarm_diversity") == explore * g * p
     if base_cls is SupernetBackend:
         assert t.calls("supernet.loss_and_grads") == backward_calls(traced)
 

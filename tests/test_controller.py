@@ -1,5 +1,6 @@
 """Tests for the three-stage controller, early stopping and backends."""
 
+import itertools
 import math
 
 import numpy as np
@@ -10,10 +11,10 @@ from hybridnas.controller import (SearchSettings, Stage, StageConfig, StopMode,
                                   SupernetBackend, TabularBackend, Termination,
                                   hoeffding_epsilon, run_search, select_best,
                                   should_stop, soft_update_alpha)
-from hybridnas.fitness import FitnessWeights
+from hybridnas.fitness import FitnessWeights, entropy_diversity
 from hybridnas.runtime import RandomStream
-from hybridnas.supernet import (ArchLayout, SupernetState, SyntheticDataset,
-                                decode, loss)
+from hybridnas.supernet import (ArchLayout, Genotype, SupernetState,
+                                SyntheticDataset, decode, loss, op_frequencies)
 from hybridnas.swarm import SwarmConfig
 from hybridnas.tabular import generate_space
 
@@ -292,3 +293,29 @@ def test_supernet_search_embeds_each_eval_batch_once(monkeypatch):
     g, p = 2, 6
     assert e == 2
     assert calls == {"embed": e * g, "loss": e * (g + 1) * p}
+
+
+def test_op_diversity_memo_matches_entropy_of_every_genotype(monkeypatch):
+    # Every genotype of a small layout, in two shuffled orders, each through a
+    # fresh memo: the value is bitwise the direct one, and op_frequencies runs
+    # once per op multiset.
+    layout = ArchLayout(1, ("zero", "skip", "linear", "relu_linear"))
+    e = layout.edges_per_cell
+    genotypes = [Genotype(g[:e], g[e:]) for g in
+                 itertools.product(range(layout.num_ops), repeat=2 * e)]
+    multisets = {tuple(sorted(g.normal + g.reduce)) for g in genotypes}
+    calls = []
+
+    def counted(genotype, layout_):
+        calls.append(genotype)
+        return op_frequencies(genotype, layout_)
+
+    monkeypatch.setattr(controller, "op_frequencies", counted)
+    rng = np.random.default_rng(0)
+    for _ in range(2):
+        calls.clear()
+        op_diversity = controller.op_diversity_memo(layout)
+        for i in rng.permutation(len(genotypes)):
+            g = genotypes[i]
+            assert op_diversity(g) == entropy_diversity(op_frequencies(g, layout))
+        assert len(calls) == len(multisets) == 35

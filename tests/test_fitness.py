@@ -136,6 +136,66 @@ def test_swarm_diversity_matches_rowwise_reference():
             assert swarm_diversity(x, h) == rowwise(x, h.entries), (dim, trial)
 
 
+def _rowwise(x, entries):
+    d_min = min(float(np.linalg.norm(x - e)) for e in entries)
+    return math.tanh(d_min / math.sqrt(len(x)))
+
+
+@pytest.mark.parametrize("offset", [1e3, 1e4])
+def test_swarm_diversity_screen_survives_cancellation(offset):
+    # Rows and queries share a large offset and differ by 1e-3 down to 1e-7,
+    # so |r|^2 - 2 r.x cancels most of its digits; the screen's margin must
+    # still keep the nearest row.  Compared with == against the per-row norm.
+    capacity = 25
+    for dim in (3, 30, 50):
+        rng = np.random.default_rng(dim)
+        for scale in (1e-3, 1e-4, 1e-5, 1e-6, 1e-7):
+            h = HistoryArchive(dimension=dim, capacity=capacity)
+            spread = scale * rng.standard_normal(dim)
+            for step in range(capacity + 7):
+                kind = step % 3
+                if kind == 0 or not len(h):
+                    row = offset + scale * rng.standard_normal(dim)
+                elif kind == 1:      # exact duplicate of an archive row
+                    row = h.entries[rng.integers(len(h))]
+                else:                # permuted copy of one shared row
+                    row = offset + rng.permutation(spread)
+                h.add(row)
+            picked = h.entries[rng.integers(len(h))]
+            queries = [offset + scale * rng.standard_normal(dim),
+                       picked,
+                       picked + 0.1 * scale * rng.standard_normal(dim),
+                       np.full(dim, offset + scale * rng.standard_normal())]
+            for x in queries:
+                assert swarm_diversity(x, h) == _rowwise(x, h.entries), (dim, scale)
+
+
+def test_swarm_diversity_non_finite_and_empty():
+    h = HistoryArchive(dimension=4)
+    assert swarm_diversity(np.full(4, np.nan), h) == 1.0
+    rng = np.random.default_rng(0)
+    for _ in range(10):
+        h.add(rng.uniform(-3.0, 3.0, 4))
+    x = np.array([0.5, np.nan, -1.0, 2.0])
+    assert math.isnan(swarm_diversity(x, h))
+    for bad in (np.inf, -np.inf):
+        x = np.array([0.5, bad, -1.0, 2.0])
+        assert swarm_diversity(x, h) == _rowwise(x, h.entries) == 1.0
+    x = np.array([np.inf, -np.inf, 0.0, 0.0])   # rows @ x mixes inf and -inf
+    assert swarm_diversity(x, h) == 1.0
+
+
+def test_history_norms_follow_their_rows():
+    capacity = 7
+    h = HistoryArchive(dimension=5, capacity=capacity)
+    rng = np.random.default_rng(3)
+    for _ in range(3 * capacity):
+        h.add(rng.normal(0.0, 10.0, 5))
+        n = len(h)
+        assert all(h.norms[i] == h.rows[i].dot(h.rows[i]) for i in range(n))
+    assert len(h) == capacity
+
+
 @given(st.lists(st.floats(-50, 50), min_size=3, max_size=3))
 def test_swarm_diversity_in_unit_interval(x):
     h = HistoryArchive(dimension=3)

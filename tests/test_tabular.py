@@ -180,6 +180,24 @@ def test_load_non_finite_cost_names_line(tmp_path, cost):
         load_space(path)
 
 
+# A zero or negative cost used to load; generate_space only makes positive ones.
+@pytest.mark.parametrize("cost, shown", [("-3", "-3.0"), ("0", "0.0")])
+def test_load_non_positive_cost_names_line(tmp_path, cost, shown):
+    path = _write_lines(tmp_path, [
+        "name=x", "edges=1", "ops=zero,skip",
+        "0,0.5,0.5,1.0", f"1,0.5,0.5,{cost}"])
+    with pytest.raises(SpaceFormatError,
+                       match=f"^line 5: cost {shown} is not positive for '1'$"):
+        load_space(path)
+
+
+def test_load_tiny_positive_cost(tmp_path):
+    path = _write_lines(tmp_path, [
+        "name=x", "edges=1", "ops=zero,skip",
+        "0,0.5,0.5,1.0", "1,0.5,0.5,1e-300"])
+    assert load_space(path).metrics[1, 2] == 1e-300
+
+
 def test_load_unrowed_wide_space_fails_fast(tmp_path):
     # 3**40 genotypes: nothing of that size may be built before the rows
     # show that the file covers the table.
