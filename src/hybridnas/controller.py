@@ -252,7 +252,10 @@ def op_diversity_memo(layout: ArchLayout):
     """A function ``genotype -> entropy_diversity(op_frequencies(genotype,
     layout))`` that computes each value once.  Op frequencies depend only on
     how often each op is picked, so the memo is keyed by the sorted op
-    indices and holds at most one entry per op-count vector."""
+    indices and holds at most one entry per op-count vector.  It saves work
+    because a search's particles keep landing on op multisets seen before:
+    the population converges, and few multisets exist (1,001 for 10 edges
+    and 5 ops)."""
     memo: dict[tuple[int, ...], float] = {}
 
     def op_diversity(genotype: Genotype) -> float:

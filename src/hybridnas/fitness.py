@@ -105,11 +105,7 @@ def swarm_diversity(x: np.ndarray, history: HistoryArchive) -> float:
     # sqrt(d.dot(d)) is np.linalg.norm of a contiguous 1-D float vector, and
     # sqrt is monotone, so taking it after the min gives norm's minimum bit
     # for bit.  Usually one row is left.
-    if len(near) == 1:
-        d = x - rows[near[0]]
-        sq = float(d.dot(d))
-    else:
-        sq = min(float(d.dot(d)) for d in x - rows[near])
+    sq = min(float(d.dot(d)) for d in x - rows[near])
     return math.tanh(math.sqrt(sq) / math.sqrt(history.dimension))
 
 
