@@ -11,8 +11,8 @@ import math
 
 import numpy as np
 
-from .swarm import (SwarmConfig, _sanitize, evolve_generation, init_population,
-                    rank_groups, update_loser)
+from .swarm import (SwarmConfig, evolve_generation, init_population, learn,
+                    rank_groups, sanitize_fitness)
 
 
 def sphere(x: np.ndarray) -> float:
@@ -42,23 +42,25 @@ def run_triplet_swarm(fn, dim: int, budget: int, seed: int,
 def run_pairwise_cso(fn, dim: int, budget: int, seed: int,
                      config: SwarmConfig | None = None) -> float:
     """Classic competitive swarm: random pairs, winner kept, loser updated
-    toward the winner and the swarm centroid."""
+    toward the winner and the swarm centroid.  Each loser's r1, r2, r3 are
+    drawn in pair order, and one ``learn`` call moves all the losers."""
     config = config or SwarmConfig()
     rng = np.random.default_rng(seed)
     swarm = init_population(dim, config, rng)
     generations = budget // config.pop_size
     best = math.inf
     for _ in range(generations):
-        swarm.fitness[:] = [_sanitize(fn(x), i)
-                            for i, x in enumerate(swarm.positions)]
+        swarm.fitness[:] = sanitize_fitness([fn(x) for x in swarm.positions])
         best = min(best, float(swarm.fitness.min()))
         x_mean = swarm.positions.mean(axis=0)
         perm = rng.permutation(swarm.size)
         pairs = perm[:2 * (swarm.size // 2)].reshape(-1, 2)
-        for a, b in rank_groups(pairs, swarm.fitness):
-            swarm.positions[b], swarm.velocities[b] = update_loser(
-                swarm.positions[b], swarm.velocities[b], swarm.positions[a],
-                x_mean, config.phi, config.swarm_bound, rng)
+        winners, losers = rank_groups(pairs, swarm.fitness).T
+        r = rng.random((len(losers), 3, dim))
+        swarm.positions[losers], swarm.velocities[losers] = learn(
+            swarm.positions[losers], swarm.velocities[losers],
+            swarm.positions[winners], x_mean, r, config.phi,
+            config.swarm_bound)
     return best
 
 

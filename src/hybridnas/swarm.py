@@ -3,10 +3,13 @@
 Each generation the particles are grouped into random triplets.  The winner
 of a triplet is preserved verbatim, the second-best is updated with
 probability 0.5 toward the winner and the swarm centroid, and the loser is
-always updated toward the winner and the recorded global best.  The classic
-pairwise baseline (``bench.run_pairwise_cso``) ranks random pairs by the
-same rule, ``rank_groups``, and is ``update_loser`` with the swarm centroid
-in place of the global best.
+always updated toward the winner and the recorded global best.  Within a
+generation the moved rows are independent (winners never move; the centroid
+and global best are snapshots), so the random draws are made triplet by
+triplet and then one array step, ``learn``, moves every updated particle.
+The classic pairwise baseline (``bench.run_pairwise_cso``) ranks random
+pairs by the same rule, ``rank_groups``, and moves its losers with the same
+``learn`` step, with the swarm centroid in place of the global best.
 """
 
 from __future__ import annotations
@@ -95,12 +98,18 @@ def _check_lengths(*vectors: np.ndarray) -> None:
             raise ValueError(f"vector length mismatch: {v.shape[0]} != {d}")
 
 
-def _learn(x: np.ndarray, v: np.ndarray, x_w: np.ndarray, x_ref: np.ndarray,
-           phi: float, bound: float, rng: np.random.Generator
-           ) -> tuple[np.ndarray, np.ndarray]:
-    """Move toward the triplet winner and a reference point."""
-    d = x.shape[0]
-    r1, r2, r3 = rng.random(d), rng.random(d), rng.random(d)
+def learn(x: np.ndarray, v: np.ndarray, x_w: np.ndarray, x_ref: np.ndarray,
+          r: np.ndarray, phi: float, bound: float
+          ) -> tuple[np.ndarray, np.ndarray]:
+    """Move rows toward their triplet winners and reference points.
+
+    ``x``, ``v`` and ``x_w`` are ``(k, D)`` rows (or one ``(D,)`` row),
+    ``x_ref`` is broadcast against them, and ``r`` holds each row's
+    uniform draws r1, r2, r3 as shape ``(k, 3, D)`` (or ``(3, D)``).  The
+    arithmetic is elementwise, so every row is bitwise what it would be if
+    moved on its own.
+    """
+    r1, r2, r3 = r.swapaxes(0, -2)
     v_new = r1 * v + r2 * (x_w - x) + phi * r3 * (x_ref - x)
     return clamp_to_bounds(x + v_new, v_new, bound)
 
@@ -114,7 +123,8 @@ def update_second_best(x_m: np.ndarray, v_m: np.ndarray, x_w: np.ndarray,
     _check_lengths(x_m, v_m, x_w, x_mean)
     if rng.random() >= 0.5:
         return x_m.copy(), v_m.copy()
-    return _learn(x_m, v_m, x_w, x_mean, phi, bound, rng)
+    return learn(x_m, v_m, x_w, x_mean, rng.random((3, x_m.shape[0])),
+                 phi, bound)
 
 
 def update_loser(x_l: np.ndarray, v_l: np.ndarray, x_w: np.ndarray,
@@ -122,15 +132,19 @@ def update_loser(x_l: np.ndarray, v_l: np.ndarray, x_w: np.ndarray,
                  rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Mandatory loser update toward the triplet winner and global best."""
     _check_lengths(x_l, v_l, x_w, x_best)
-    return _learn(x_l, v_l, x_w, x_best, phi, bound, rng)
+    return learn(x_l, v_l, x_w, x_best, rng.random((3, x_l.shape[0])),
+                 phi, bound)
 
 
-def _sanitize(value: float, index: int) -> float:
-    if not np.isfinite(value):
+def sanitize_fitness(values) -> np.ndarray:
+    """Fitness values as a float array, each non-finite one logged in
+    particle order and replaced by a large finite value that ranks last."""
+    fitness = np.array(values, dtype=float)
+    for i in np.flatnonzero(~np.isfinite(fitness)):
         log.error("non-finite fitness %r for particle %d; ranking as worst",
-                  value, index)
-        return _WORST_FITNESS
-    return float(value)
+                  values[i], i)
+        fitness[i] = _WORST_FITNESS
+    return fitness
 
 
 def evolve_generation(swarm: Swarm, fitness_fn, config: SwarmConfig,
@@ -138,32 +152,42 @@ def evolve_generation(swarm: Swarm, fitness_fn, config: SwarmConfig,
     """One generation: evaluate, rank triplets, update second-bests/losers.
 
     The centroid and global best are snapshots taken after evaluation and
-    before any update; winners and leftovers are carried verbatim.  All
-    random draws happen in a fixed serial order, so evaluation could be
-    parallelized without perturbing the trajectory.  Returns the particle
-    indices of each role: "winners", "seconds", "losers", "leftovers".
+    before any update; winners and leftovers are carried verbatim.  The
+    random draws are made triplet by triplet in ranked order (the
+    second-best's coin, its r1, r2, r3 if the coin is below 0.5, then the
+    loser's r1, r2, r3), and one ``learn`` call then moves every updated
+    particle.  Evaluation draws nothing, so it could be parallelized
+    without perturbing the trajectory.  Returns the particle indices of
+    each role: "winners", "seconds", "losers", "leftovers", and "moved",
+    the particles updated, in draw order.
     """
-    swarm.fitness[:] = [_sanitize(fitness_fn(x), i)
-                        for i, x in enumerate(swarm.positions)]
+    swarm.fitness[:] = sanitize_fitness([fitness_fn(x)
+                                         for x in swarm.positions])
 
     best = int(np.argmin(swarm.fitness))
     if swarm.fitness[best] < swarm.best_fitness:
         swarm.best_position = swarm.positions[best].copy()
         swarm.best_fitness = float(swarm.fitness[best])
 
-    x_mean = swarm.positions.mean(axis=0)
-    x_best = swarm.best_position
+    # Reference points: row 0 the centroid, row 1 the global best.
+    refs = np.array((swarm.positions.mean(axis=0), swarm.best_position))
 
     perm = rng.permutation(swarm.size)
     n_grouped = 3 * (swarm.size // 3)
     ranked = rank_groups(perm[:n_grouped].reshape(-1, 3), swarm.fitness)
-    for w, m, l in ranked:
-        swarm.positions[m], swarm.velocities[m] = update_second_best(
-            swarm.positions[m], swarm.velocities[m], swarm.positions[w],
-            x_mean, config.phi, config.swarm_bound, rng)
-        swarm.positions[l], swarm.velocities[l] = update_loser(
-            swarm.positions[l], swarm.velocities[l], swarm.positions[w],
-            x_best, config.phi, config.swarm_bound, rng)
+    dim = swarm.positions.shape[1]
+    moves, draws = [], []   # (particle, its winner, its reference row)
+    for w, m, l in ranked.tolist():
+        if rng.random() < 0.5:
+            moves.append((m, w, 0))
+            draws.append(rng.random((3, dim)))
+        moves.append((l, w, 1))
+        draws.append(rng.random((3, dim)))
+    moved, toward, ref = np.array(moves).T
+    swarm.positions[moved], swarm.velocities[moved] = learn(
+        swarm.positions[moved], swarm.velocities[moved],
+        swarm.positions[toward], refs[ref], np.array(draws),
+        config.phi, config.swarm_bound)
     winners, seconds, losers = ranked.T.tolist()
     return {"winners": winners, "seconds": seconds, "losers": losers,
-            "leftovers": perm[n_grouped:].tolist()}
+            "leftovers": perm[n_grouped:].tolist(), "moved": moved.tolist()}

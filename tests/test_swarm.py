@@ -1,5 +1,6 @@
 """Unit and property tests for the triplet-competition swarm."""
 
+import logging
 import math
 
 import numpy as np
@@ -8,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hybridnas.bench import run_pairwise_cso
-from hybridnas.swarm import (SwarmConfig, clamp_to_bounds, evolve_generation,
-                             init_population, rank_groups, update_loser,
+from hybridnas.swarm import (_WORST_FITNESS, SwarmConfig, clamp_to_bounds,
+                             evolve_generation, init_population, rank_groups,
+                             sanitize_fitness, update_loser,
                              update_second_best)
 
 
@@ -286,3 +288,150 @@ def test_partition_is_always_a_partition(pop, seed):
     flat = roles["winners"] + roles["seconds"] + roles["losers"] + roles["leftovers"]
     assert sorted(flat) == list(range(pop))
     assert len(roles["leftovers"]) == pop % 3
+
+
+# ---------------------------------------------------------------- block step
+
+def per_row_generation(swarm, fitness_fn, config, rng):
+    """Reference: the generation loop that moved one particle at a time,
+    drawing r1, r2, r3 as three vectors per move."""
+    b = config.swarm_bound
+
+    def learn_row(x, v, x_w, x_ref):
+        d = x.shape[0]
+        r1, r2, r3 = rng.random(d), rng.random(d), rng.random(d)
+        v_new = r1 * v + r2 * (x_w - x) + config.phi * r3 * (x_ref - x)
+        x_new = x + v_new
+        clipped = np.clip(x_new, -b, b)
+        return clipped, np.where(clipped != x_new, 0.0, v_new)
+
+    values = []
+    for i, x in enumerate(swarm.positions):
+        value = fitness_fn(x)
+        if not np.isfinite(value):
+            logging.getLogger("reference").error(
+                "non-finite fitness %r for particle %d; ranking as worst",
+                value, i)
+            value = 1e300
+        values.append(float(value))
+    swarm.fitness[:] = values
+
+    best = int(np.argmin(swarm.fitness))
+    if swarm.fitness[best] < swarm.best_fitness:
+        swarm.best_position = swarm.positions[best].copy()
+        swarm.best_fitness = float(swarm.fitness[best])
+    x_mean = swarm.positions.mean(axis=0)
+    x_best = swarm.best_position
+
+    perm = rng.permutation(swarm.size)
+    n_grouped = 3 * (swarm.size // 3)
+    ranked = rank_groups(perm[:n_grouped].reshape(-1, 3), swarm.fitness)
+    pos, vel = swarm.positions, swarm.velocities
+    moved = []
+    for w, m, l in ranked.tolist():
+        if rng.random() < 0.5:
+            pos[m], vel[m] = learn_row(pos[m], vel[m], pos[w], x_mean)
+            moved.append(m)
+        pos[l], vel[l] = learn_row(pos[l], vel[l], pos[w], x_best)
+        moved.append(l)
+    winners, seconds, losers = ranked.T.tolist()
+    return {"winners": winners, "seconds": seconds, "losers": losers,
+            "leftovers": perm[n_grouped:].tolist(), "moved": moved}
+
+
+def shifted_sphere_with_one_nan(nan_call):
+    # The minimum at 0.5 lies outside a cube of bound below 0.5, so the
+    # swarm presses against its faces and clamping fires.
+    calls = []
+
+    def fn(x):
+        calls.append(1)
+        return math.nan if len(calls) == nan_call else sphere(x - 0.5)
+    return fn
+
+
+@pytest.mark.parametrize("bound", [3.0, 0.05])
+@pytest.mark.parametrize("pop", [3, 10, 60])
+@pytest.mark.parametrize("dim", [1, 30, 50])
+def test_block_step_matches_per_row_reference(dim, pop, bound, caplog):
+    # Same seed, same swarm: the block step must reproduce the per-row loop
+    # bit for bit, including the generator's state after every generation.
+    # The second generation's second particle evaluates to NaN.
+    cfg = SwarmConfig(pop_size=pop, swarm_bound=bound)
+    sides = []
+    for step in (evolve_generation, per_row_generation):
+        rng = np.random.default_rng(1000 * dim + pop)
+        sides.append((step, init_population(dim, cfg, rng), rng,
+                      shifted_sphere_with_one_nan(pop + 2)))
+    (_, a, rng_a, _), (_, b, rng_b, _) = sides
+    clamped = False
+    for _ in range(16):
+        out = []
+        for step, swarm, rng, fn in sides:
+            caplog.clear()
+            with caplog.at_level("ERROR"):
+                roles = step(swarm, fn, cfg, rng)
+            out.append((roles, [r.getMessage() for r in caplog.records]))
+        assert out[0] == out[1]
+        assert a.positions.tobytes() == b.positions.tobytes()
+        assert a.velocities.tobytes() == b.velocities.tobytes()
+        assert a.fitness.tobytes() == b.fitness.tobytes()
+        assert a.best_position.tobytes() == b.best_position.tobytes()
+        assert a.best_fitness == b.best_fitness
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
+        clamped |= bool(np.any(np.abs(a.positions) == bound))
+    assert clamped or bound > 0.5
+
+
+class CoinLog:
+    """A Generator stand-in that records every scalar draw (the coins)."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.coins = []
+
+    def permutation(self, n):
+        return self.rng.permutation(n)
+
+    def random(self, size=None):
+        out = self.rng.random(size)
+        if size is None:
+            self.coins.append(out)
+        return out
+
+
+@pytest.mark.parametrize("pop", [3, 10, 60])
+def test_moved_is_losers_and_fired_seconds(pop):
+    cfg = SwarmConfig(pop_size=pop)
+    swarm = init_population(5, cfg, np.random.default_rng(0))
+    fired = kept = 0
+    for seed in range(6):
+        rng = CoinLog(seed)
+        x0, v0 = swarm.positions.copy(), swarm.velocities.copy()
+        roles = evolve_generation(swarm, sphere, cfg, rng)
+        assert len(rng.coins) == len(roles["losers"])
+        expected = []
+        for m, l, coin in zip(roles["seconds"], roles["losers"], rng.coins):
+            expected += [m, l] if coin < 0.5 else [l]
+            fired, kept = fired + (coin < 0.5), kept + (coin >= 0.5)
+        assert roles["moved"] == expected
+        still = np.setdiff1d(np.arange(pop), roles["moved"])
+        assert swarm.positions[still].tobytes() == x0[still].tobytes()
+        assert swarm.velocities[still].tobytes() == v0[still].tobytes()
+    assert fired and kept
+
+
+def test_sanitize_fitness_keeps_finite_and_ranks_nonfinite_worst(caplog):
+    values = [0.5, math.nan, -0.0, math.inf, 5e-324, -math.inf,
+              np.float32(0.1), -1e308]
+    with caplog.at_level("ERROR"):
+        fitness = sanitize_fitness(values)
+    assert fitness.dtype == np.float64
+    finite = [0, 2, 4, 6, 7]
+    assert (fitness[finite].tobytes()
+            == np.array([float(values[i]) for i in finite]).tobytes())
+    assert fitness[[1, 3, 5]].tolist() == [_WORST_FITNESS] * 3
+    assert fitness.argmax() == 1
+    assert [r.getMessage() for r in caplog.records] == [
+        f"non-finite fitness {v} for particle {i}; ranking as worst"
+        for i, v in ((1, "nan"), (3, "inf"), (5, "-inf"))]
