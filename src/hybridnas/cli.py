@@ -8,15 +8,18 @@ epoch, flushed immediately, in CSV or JSONL.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields, is_dataclass, replace
+from enum import Enum
+from functools import reduce
 
 import numpy as np
 
 from .bench import TEST_FUNCTIONS, compare_strategies
-from .controller import (EpochRecord, SearchSettings, StageConfig, StopMode,
+from .controller import (EpochRecord, SearchSettings, StageConfig,
                          SupernetBackend, TabularBackend, run_search)
 from .fitness import FitnessWeights
 from .gradcheck import check_gradients, make_gradcheck_problem
@@ -32,10 +35,10 @@ LOG_FORMATS = ("csv", "jsonl")
 
 @dataclass
 class RunConfig:
-    """Flat run configuration; field names double as config-file keys and
-    (kebab-cased) CLI flags.  Fields named like a field of StageConfig,
-    SwarmConfig or FitnessWeights are passed to it by name and take its
-    default; ``max_epochs`` is StageConfig's ``max_total_epochs``."""
+    """One search run: its own fields, then ``settings``.  Config-file keys
+    and (kebab-cased) flags are its own field names, then the fields of
+    ``settings`` in ``KEY_PATHS`` order, with ``max_total_epochs`` spelled
+    ``max_epochs``.  ``parse_config`` validates every value."""
 
     backend: str = "supernet"
     space: str = ""
@@ -52,44 +55,10 @@ class RunConfig:
     train_size: int = 600
     val_size: int = 300
 
-    # swarm
-    pop_size: int = SwarmConfig.pop_size
-    phi: float = SwarmConfig.phi
-    generations_per_epoch: int = SwarmConfig.generations_per_epoch
-    swarm_bound: float = SwarmConfig.swarm_bound
-
-    # fitness
-    lambda_swarm: float = FitnessWeights.lambda_swarm
-    lambda_op: float = FitnessWeights.lambda_op
-    history_capacity: int = SearchSettings.history_capacity
-
-    # stages
-    warmup_epochs: int = StageConfig.warmup_epochs
-    batch_size: int = StageConfig.batch_size
-    eta_w: float = StageConfig.eta_w
-    exploration_eta_alpha: float = StageConfig.exploration_eta_alpha
-    stability_threshold: float = StageConfig.stability_threshold
-    stability_arch_lr: float = StageConfig.stability_arch_lr
-    min_stability_epochs: int = StageConfig.min_stability_epochs
-    window_n: int = StageConfig.window_n
-    confidence_delta: float = StageConfig.confidence_delta
-    abs_alpha_threshold: float = StageConfig.abs_alpha_threshold
-    stop_mode: str = StageConfig.stop_mode.value
-    max_epochs: int = StageConfig.max_total_epochs
+    settings: SearchSettings = field(default_factory=SearchSettings)
 
     def layout(self) -> ArchLayout:
         return _parse_layout(self.num_nodes, self.ops)
-
-    def settings(self) -> SearchSettings:
-        values = vars(self) | {"max_total_epochs": self.max_epochs,
-                               "stop_mode": StopMode(self.stop_mode)}
-
-        def build(cls):
-            return cls(**{f.name: values[f.name] for f in fields(cls)})
-
-        return SearchSettings(stage=build(StageConfig), swarm=build(SwarmConfig),
-                              weights=build(FitnessWeights),
-                              history_capacity=self.history_capacity)
 
 
 def _parse_layout(num_nodes: int, ops: str) -> ArchLayout:
@@ -120,16 +89,37 @@ def _check_seed(seed: int) -> None:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
 
 
-def _field_types() -> dict[str, type]:
-    defaults = RunConfig()
-    return {f.name: type(getattr(defaults, f.name)) for f in fields(RunConfig)}
+def _key_paths() -> dict[str, tuple[str, ...]]:
+    """Each config key's attribute path in a RunConfig, in config.txt order.
+    No two of these fields share a name, so a name picks out one field."""
+    paths = ([(f.name,) for f in fields(RunConfig) if f.name != "settings"]
+             + [("settings", "swarm", f.name) for f in fields(SwarmConfig)]
+             + [("settings", "weights", f.name) for f in fields(FitnessWeights)]
+             + [("settings", "history_capacity")]
+             + [("settings", "stage", f.name) for f in fields(StageConfig)])
+    aliases = {"max_total_epochs": "max_epochs"}
+    return {aliases.get(path[-1], path[-1]): path for path in paths}
+
+
+KEY_PATHS = _key_paths()
+# A key's type is the type of its default, so ``stop_mode`` parses to StopMode.
+KEY_DEFAULTS = {key: reduce(getattr, path, RunConfig())
+                for key, path in KEY_PATHS.items()}
+
+
+def _build(default, values: dict[str, object]):
+    """``default`` with ``values``, keyed by field name, put in place.
+    Nested dataclasses are built anew, so each validates its values."""
+    def value(name):
+        old = getattr(default, name)
+        return _build(old, values) if is_dataclass(old) else values.get(name, old)
+    return replace(default, **{f.name: value(f.name) for f in fields(default)})
 
 
 def parse_config(file_path: str | None, flag_overrides: dict | None = None
                  ) -> RunConfig:
     """Defaults, then file values, then flag overrides."""
     values: dict = {}
-    concrete = _field_types()
     if file_path:
         with open(file_path, encoding="utf-8") as fh:
             for no, ln in enumerate(fh, start=1):
@@ -139,28 +129,30 @@ def parse_config(file_path: str | None, flag_overrides: dict | None = None
                 if "=" not in ln:
                     raise ValueError(f"line {no}: expected 'key = value', got {ln!r}")
                 key, raw = (p.strip() for p in ln.split("=", 1))
-                if key not in concrete:
+                if key not in KEY_PATHS:
                     raise ValueError(f"unknown config key {key!r} (line {no})")
-                values[key] = _coerce(key, raw, concrete[key], no)
+                values[key] = _coerce(key, raw, type(KEY_DEFAULTS[key]), no)
     for key, val in (flag_overrides or {}).items():
-        if key not in concrete:
+        if key not in KEY_PATHS:
             raise ValueError(f"unknown config key {key!r}")
         values[key] = val
-    cfg = RunConfig(**values)
+    cfg = _build(RunConfig(), {KEY_PATHS[k][-1]: v for k, v in values.items()})
     if cfg.log_format not in LOG_FORMATS:
         raise ValueError(f"log_format must be csv or jsonl, got "
                          f"{cfg.log_format!r}")
-    cfg.settings()   # validate invariants up front
     cfg.layout()
     _check_seed(cfg.seed)
     return cfg
 
 
+def _text(value) -> str:
+    # f"{StopMode.STRICT}" is "StopMode.STRICT" on Python 3.11
+    return str(value.value if isinstance(value, Enum) else value)
+
+
 def serialize_config(cfg: RunConfig) -> str:
-    lines = []
-    for f in fields(RunConfig):
-        lines.append(f"{f.name} = {getattr(cfg, f.name)}")
-    return "\n".join(lines) + "\n"
+    return "".join(f"{key} = {_text(reduce(getattr, path, cfg))}\n"
+                   for key, path in KEY_PATHS.items())
 
 
 class EpochLogger:
@@ -170,7 +162,6 @@ class EpochLogger:
         if fmt not in LOG_FORMATS:
             raise ValueError(f"log format must be csv or jsonl, got {fmt!r}")
         self.fmt = fmt
-        self.path = path
         try:
             self.fh = open(path, "w", encoding="utf-8")
         except OSError as exc:
@@ -207,14 +198,15 @@ def export_genotype(genotype: Genotype, layout: ArchLayout, path: str) -> None:
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", default=None, help="config file path")
-    for f in fields(RunConfig):
-        parser.add_argument("--" + f.name.replace("_", "-"), default=None)
+    for key, default in KEY_DEFAULTS.items():
+        parser.add_argument("--" + key.replace("_", "-"), default=None,
+                            help=f"default: {_text(default) or 'empty'}")
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     """Flag values are coerced like config-file values."""
-    overrides = {key: _coerce(key, getattr(args, key), ftype)
-                 for key, ftype in _field_types().items()
+    overrides = {key: _coerce(key, getattr(args, key), type(default))
+                 for key, default in KEY_DEFAULTS.items()
                  if getattr(args, key) is not None}
     return parse_config(args.config, overrides)
 
@@ -242,17 +234,21 @@ def _cmd_search(args: argparse.Namespace) -> int:
     cfg = _config_from_args(args)
     backend = _build_backend(cfg)
     os.makedirs(cfg.out, exist_ok=True)
+    # A run that fails must not leave its log beside an earlier run's files.
+    with open(os.path.join(cfg.out, "config.txt"), "w", encoding="utf-8") as fh:
+        fh.write(serialize_config(cfg))
+    for name in ["genotype.txt"] + [f"log.{fmt}" for fmt in LOG_FORMATS]:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(os.path.join(cfg.out, name))
     logger = EpochLogger(os.path.join(cfg.out, f"log.{cfg.log_format}"),
                          cfg.log_format)
     try:
-        result = run_search(cfg.settings(), backend, cfg.seed, timing=cfg.timing,
+        result = run_search(cfg.settings, backend, cfg.seed, timing=cfg.timing,
                             on_record=logger.log_epoch)
     finally:
         logger.close()
     export_genotype(result.genotype, cfg.layout(),
                     os.path.join(cfg.out, "genotype.txt"))
-    with open(os.path.join(cfg.out, "config.txt"), "w", encoding="utf-8") as fh:
-        fh.write(serialize_config(cfg))
     print(f"stages completed, termination={result.termination.value}, "
           f"epochs={len(result.records)}")
     print(f"genotype:\n{result.genotype.to_text(cfg.layout())}", end="")

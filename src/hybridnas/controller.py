@@ -63,6 +63,7 @@ class StageConfig:
     max_total_epochs: int = 100
 
     def __post_init__(self):
+        self.stop_mode = StopMode(self.stop_mode)  # a str would match no mode
         for f in fields(self):
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
@@ -138,8 +139,8 @@ class EpochRecord:
     queries_used: int
     wall_ms: int
 
-    FIELDS = ("epoch", "stage", "best_base_fitness", "best_combined_fitness",
-              "validation_accuracy", "v_t", "epsilon", "queries_used", "wall_ms")
+
+EpochRecord.FIELDS = tuple(f.name for f in fields(EpochRecord))
 
 
 @dataclass

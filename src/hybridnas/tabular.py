@@ -41,9 +41,12 @@ class Metrics:
 
 @dataclass
 class QueryBudget:
-    queries_used: int = 0
     queries_max: int = 10 ** 9
     _seen: set[int] = field(default_factory=set)
+
+    @property
+    def queries_used(self) -> int:
+        return len(self._seen)
 
     def charge(self, row: int) -> None:
         if row in self._seen:
@@ -52,7 +55,6 @@ class QueryBudget:
             raise BudgetExhaustedError(
                 f"query budget exhausted ({self.queries_max} distinct queries)")
         self._seen.add(row)
-        self.queries_used += 1
 
 
 @dataclass(eq=False)

@@ -5,14 +5,18 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
+from hybridnas import cli
 from hybridnas.cli import (EpochLogger, RunConfig, build_parser,
                            export_genotype, main_cli, parse_config,
                            serialize_config)
-from hybridnas.controller import EpochRecord, TabularBackend
+from hybridnas.controller import (EpochRecord, SearchSettings, StageConfig,
+                                  StopMode, TabularBackend)
+from hybridnas.fitness import FitnessWeights
 from hybridnas.supernet import DEFAULT_OPS, ArchLayout, Genotype
 from hybridnas.swarm import SwarmConfig
 from hybridnas.tabular import brute_force_best, load_space
@@ -49,30 +53,30 @@ def test_empty_config_gives_defaults(tmp_path):
     path = write(tmp_path, "c.txt", "# nothing here\n\n")
     cfg = parse_config(path)
     assert cfg == RunConfig()
-    assert cfg.pop_size == 60
-    assert cfg.phi == 0.15
-    assert cfg.generations_per_epoch == 8
-    assert cfg.lambda_swarm == 0.3
-    assert cfg.lambda_op == 0.2
-    assert cfg.warmup_epochs == 5
-    assert cfg.batch_size == 64
-    assert cfg.eta_w == 0.025
-    assert cfg.stability_threshold == 0.82
-    assert cfg.stability_arch_lr == 1e-5
-    assert cfg.abs_alpha_threshold == 1e-3
-    assert cfg.confidence_delta == 0.05
+    assert cfg.settings.swarm.pop_size == 60
+    assert cfg.settings.swarm.phi == 0.15
+    assert cfg.settings.swarm.generations_per_epoch == 8
+    assert cfg.settings.weights.lambda_swarm == 0.3
+    assert cfg.settings.weights.lambda_op == 0.2
+    assert cfg.settings.stage.warmup_epochs == 5
+    assert cfg.settings.stage.batch_size == 64
+    assert cfg.settings.stage.eta_w == 0.025
+    assert cfg.settings.stage.stability_threshold == 0.82
+    assert cfg.settings.stage.stability_arch_lr == 1e-5
+    assert cfg.settings.stage.abs_alpha_threshold == 1e-3
+    assert cfg.settings.stage.confidence_delta == 0.05
 
 
 def test_config_file_overrides_defaults(tmp_path):
     path = write(tmp_path, "c.txt", "pop_size = 12\nphi = 0.5  # inline\n")
     cfg = parse_config(path)
-    assert cfg.pop_size == 12 and cfg.phi == 0.5
+    assert cfg.settings.swarm.pop_size == 12 and cfg.settings.swarm.phi == 0.5
 
 
 def test_flags_override_file(tmp_path):
     path = write(tmp_path, "c.txt", "pop_size = 12\n")
     cfg = parse_config(path, {"pop_size": 33})
-    assert cfg.pop_size == 33
+    assert cfg.settings.swarm.pop_size == 33
 
 
 def test_bad_value_names_key_and_line(tmp_path):
@@ -100,10 +104,94 @@ def test_invalid_combination_rejected(tmp_path):
 
 
 def test_serialize_parse_round_trip(tmp_path):
-    cfg = RunConfig(pop_size=9, phi=0.4, backend="tabular", timing=True,
-                    ops="zero,skip,linear")
+    cfg = RunConfig(settings=SearchSettings(swarm=SwarmConfig(pop_size=9, phi=0.4)),
+                    backend="tabular", timing=True, ops="zero,skip,linear")
     path = write(tmp_path, "c.txt", serialize_config(cfg))
     assert parse_config(path) == cfg
+
+
+def test_bad_stop_mode_in_file_names_key_and_line(tmp_path):
+    # This used to fail with "'bogus' is not a valid StopMode", naming
+    # neither the key nor the line.
+    path = write(tmp_path, "c.txt", "stop_mode = bogus\n")
+    with pytest.raises(ValueError,
+                       match=r"^bad value for stop_mode \(line 1\): 'bogus'"):
+        parse_config(path)
+
+
+def test_bad_stop_mode_flag_names_key(tmp_path, capsys):
+    out_dir = tmp_path / "run"
+    rc = main_cli(["search", "--stop-mode", "bogus", "--out", str(out_dir)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(
+        "error: bad value for stop_mode: 'bogus'")
+    assert not out_dir.exists()
+
+
+# A valid value other than the default for every search key.
+NON_DEFAULT = {
+    "backend": "tabular", "space": "space.txt", "out": "elsewhere", "seed": 7,
+    "log_format": "jsonl", "timing": True, "num_nodes": 3,
+    "ops": "zero,skip,linear", "feature_dim": 8, "num_classes": 4,
+    "train_size": 400, "val_size": 200,
+    "pop_size": 9, "phi": 0.4, "generations_per_epoch": 3, "swarm_bound": 2.0,
+    "lambda_swarm": 0.1, "lambda_op": 0.5, "history_capacity": 50,
+    "warmup_epochs": 2, "batch_size": 16, "eta_w": 0.01,
+    "exploration_eta_alpha": 0.5, "stability_threshold": 0.7,
+    "stability_arch_lr": 1e-4, "min_stability_epochs": 3, "window_n": 4,
+    "confidence_delta": 0.1, "abs_alpha_threshold": 0.01,
+    "stop_mode": StopMode.HOEFFDING, "max_epochs": 50,
+}
+
+
+def search_keys():
+    return set(vars(build_parser().parse_args(["search"]))) - {
+        "command", "handler", "config"}
+
+
+def owner(cfg, key):
+    """The dataclass in ``cfg`` that holds ``key``, and the field's name."""
+    name = "max_total_epochs" if key == "max_epochs" else key
+    s = cfg.settings
+    for obj in (cfg, s, s.swarm, s.weights, s.stage):
+        if name in {f.name for f in fields(obj)}:
+            return obj, name
+    raise KeyError(key)
+
+
+def test_search_keys_are_the_run_and_library_fields():
+    run = {f.name for f in fields(RunConfig)} - {"settings"}
+    library = [f.name for cls in (SwarmConfig, FitnessWeights, StageConfig)
+               for f in fields(cls)]
+    expected = (run | set(library) | {"history_capacity", "max_epochs"}) - {
+        "max_total_epochs"}
+    assert search_keys() == expected
+    # no two of these fields share a name
+    assert len(expected) == len(run) + len(library) + 1
+    written = [ln.split(" = ")[0]
+               for ln in serialize_config(RunConfig()).splitlines()]
+    assert len(written) == len(expected) and set(written) == expected
+    assert set(NON_DEFAULT) == expected
+
+
+@pytest.mark.parametrize("source", ["file", "flag"])
+@pytest.mark.parametrize("key", sorted(NON_DEFAULT))
+def test_each_key_lands_in_its_dataclass_and_round_trips(tmp_path, key, source):
+    value = NON_DEFAULT[key]
+    text = value.value if isinstance(value, StopMode) else str(value)
+    if source == "file":
+        cfg = parse_config(write(tmp_path, "c.txt", f"{key} = {text}\n"))
+    else:
+        args = build_parser().parse_args(
+            ["search", "--" + key.replace("_", "-"), text])
+        cfg = cli._config_from_args(args)
+    expected = RunConfig()
+    obj, name = owner(expected, key)
+    assert getattr(obj, name) != value
+    setattr(obj, name, value)
+    assert cfg == expected
+    assert type(getattr(*owner(cfg, key))) is type(value)
+    assert parse_config(write(tmp_path, "back.txt", serialize_config(cfg))) == cfg
 
 
 # ---------------------------------------------------------------- logging
@@ -262,6 +350,33 @@ def test_search_streams_log_before_a_crash(tmp_path, monkeypatch):
     rows = read_log(os.path.join(out_dir, "log.csv"))
     assert [(r["epoch"], r["stage"]) for r in rows] == [(1, "warmup"), (2, "warmup"),
                                                        (3, "warmup")]
+
+
+def test_failed_rerun_leaves_no_output_of_the_earlier_run(tmp_path, monkeypatch):
+    # config.txt and genotype.txt were written only after the run, so a
+    # rerun that failed left its log beside the earlier run's files; a log
+    # in the other format was never removed.
+    space_path = str(tmp_path / "space.txt")
+    main_cli(["gen-space", "--ops", "zero,skip,linear", "--seed", "5",
+              "--out", space_path])
+    out_dir = str(tmp_path / "run")
+    argv = ["search", "--backend", "tabular", "--space", space_path,
+            "--num-nodes", "1", "--ops", "zero,skip,linear", "--pop-size", "21",
+            "--warmup-epochs", "1", "--max-epochs", "6", "--out", out_dir]
+    assert main_cli(argv + ["--seed", "1", "--log-format", "jsonl"]) == 0
+    assert sorted(os.listdir(out_dir)) == ["config.txt", "genotype.txt",
+                                           "log.jsonl"]
+
+    def crash(self, position, eval_batch):
+        raise RuntimeError("backend failed in exploration")
+
+    monkeypatch.setattr(TabularBackend, "position_loss", crash)
+    with pytest.raises(RuntimeError, match="exploration"):
+        main_cli(argv + ["--seed", "2"])
+    assert [r["epoch"] for r in read_log(os.path.join(out_dir, "log.csv"))] == [1]
+    with open(os.path.join(out_dir, "config.txt"), encoding="utf-8") as fh:
+        assert "seed = 2" in fh.read().splitlines()
+    assert sorted(os.listdir(out_dir)) == ["config.txt", "log.csv"]
 
 
 def test_search_missing_space_is_clean_error(capsys):

@@ -140,6 +140,14 @@ def test_stage_config_validation():
         StageConfig(exploration_eta_alpha=1.5)
 
 
+def test_stage_config_reads_stop_mode_by_value():
+    # A plain string was kept as given, and should_stop, which matches modes
+    # by identity, then ran every mode but the enum members as STRICT.
+    assert StageConfig(stop_mode="hoeffding").stop_mode is StopMode.HOEFFDING
+    with pytest.raises(ValueError, match="bogus"):
+        StageConfig(stop_mode="bogus")
+
+
 # ---------------------------------------------------------------- stage runs
 
 def tabular_settings(warmup_epochs=2, max_total_epochs=25, **stage):

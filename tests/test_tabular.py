@@ -276,6 +276,17 @@ def test_query_budget_counts_distinct_only(space):
     assert budget.queries_used == 1
 
 
+def test_query_budget_count_is_its_distinct_rows(space):
+    # The count was a field of its own, so QueryBudget(queries_used=5)
+    # reported five queries with none on record.
+    with pytest.raises(TypeError):
+        QueryBudget(queries_used=5)
+    budget = QueryBudget()
+    for genotype in (Genotype((0, 0), (0, 0)), Genotype((0, 0), (0, 1))):
+        query(space, genotype, budget)
+    assert budget.queries_used == len(budget._seen) == 2
+
+
 def test_query_budget_zero_exhausted(space):
     budget = QueryBudget(queries_max=0)
     with pytest.raises(BudgetExhaustedError, match="exhausted"):
