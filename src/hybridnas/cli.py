@@ -116,9 +116,16 @@ def _build(default, values: dict[str, object]):
     return replace(default, **{f.name: value(f.name) for f in fields(default)})
 
 
+def _text(value) -> str:
+    # f"{StopMode.STRICT}" is "StopMode.STRICT" on Python 3.11
+    return str(value.value if isinstance(value, Enum) else value)
+
+
 def parse_config(file_path: str | None, flag_overrides: dict | None = None
                  ) -> RunConfig:
-    """Defaults, then file values, then flag overrides."""
+    """Defaults, then file values, then flag overrides.  Each override is
+    parsed like a file value by its key's type; a typed value (``33``,
+    ``True``, a ``StopMode``) is parsed from its text."""
     values: dict = {}
     if file_path:
         with open(file_path, encoding="utf-8") as fh:
@@ -135,7 +142,7 @@ def parse_config(file_path: str | None, flag_overrides: dict | None = None
     for key, val in (flag_overrides or {}).items():
         if key not in KEY_PATHS:
             raise ValueError(f"unknown config key {key!r}")
-        values[key] = val
+        values[key] = _coerce(key, _text(val), type(KEY_DEFAULTS[key]))
     cfg = _build(RunConfig(), {KEY_PATHS[k][-1]: v for k, v in values.items()})
     if cfg.log_format not in LOG_FORMATS:
         raise ValueError(f"log_format must be csv or jsonl, got "
@@ -143,11 +150,6 @@ def parse_config(file_path: str | None, flag_overrides: dict | None = None
     cfg.layout()
     _check_seed(cfg.seed)
     return cfg
-
-
-def _text(value) -> str:
-    # f"{StopMode.STRICT}" is "StopMode.STRICT" on Python 3.11
-    return str(value.value if isinstance(value, Enum) else value)
 
 
 def serialize_config(cfg: RunConfig) -> str:
@@ -204,9 +206,7 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    """Flag values are coerced like config-file values."""
-    overrides = {key: _coerce(key, getattr(args, key), type(default))
-                 for key, default in KEY_DEFAULTS.items()
+    overrides = {key: getattr(args, key) for key in KEY_DEFAULTS
                  if getattr(args, key) is not None}
     return parse_config(args.config, overrides)
 

@@ -27,7 +27,8 @@ from .supernet import (ArchLayout, Genotype, SupernetState, SyntheticDataset,
                        loss, op_frequencies, sgd_step_weights,
                        validation_accuracy)
 from .swarm import SwarmConfig, evolve_generation, init_population
-from .tabular import QueryBudget, TabularSpace, evaluate_position, query
+from .tabular import (QueryBudget, TabularSpace, check_layout,
+                      evaluate_position, query)
 
 
 class Stage(str, Enum):
@@ -219,12 +220,7 @@ class TabularBackend:
 
     def __init__(self, space: TabularSpace, layout: ArchLayout,
                  queries_max: int = 10 ** 9):
-        if 2 * layout.edges_per_cell != space.num_edges:
-            raise ValueError(f"layout has {2 * layout.edges_per_cell} edges, "
-                             f"space expects {space.num_edges}")
-        if space.op_names != layout.candidate_ops:
-            raise ValueError(f"layout ops {list(layout.candidate_ops)} differ "
-                             f"from space ops {list(space.op_names)}")
+        check_layout(space, layout)
         self.space = space
         self.layout = layout
         self.budget = QueryBudget(queries_max=queries_max)

@@ -11,8 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .supernet import (_ACTIVATIONS, ArchLayout, SupernetState, forward,
-                       loss, loss_and_grads)
+from .supernet import ArchLayout, SupernetState, forward, loss, loss_and_grads
 
 # Central-difference step; make_gradcheck_problem keeps every kinked
 # pre-activation 50 steps away from its kink.
@@ -59,9 +58,8 @@ def min_kink_distance(state: SupernetState, alpha: np.ndarray,
     larger than the step."""
     traces: list = []
     forward(state, alpha, x, traces)
-    layout = state.layout
-    kinked = [k for op, k in zip(layout.candidate_ops, layout.param_slots)
-              if k is not None and _ACTIVATIONS[op][2]]
+    kinked = [k for k, (_, _, kink) in enumerate(state.layout.activations)
+              if kink]
     dist = np.inf
     for trace in traces:
         for _, _, _, pre, _ in trace.edges:
@@ -74,6 +72,8 @@ def make_gradcheck_problem(layout: ArchLayout, seed: int, batch: int = 8,
                            feature_dim: int = 16):
     """Deterministically build a three-class (state, alpha, x, y) tuple whose
     pre-activations sit away from kinks, scanning seeds from ``seed``."""
+    if batch < 1:
+        raise ValueError(f"batch must be >= 1, got {batch}")
     for trial in range(seed, seed + 1000):
         rng = np.random.default_rng(trial)
         state = SupernetState.init(layout, rng, feature_dim=feature_dim)

@@ -92,20 +92,30 @@ class ArchLayout:
         return param_dimension(self.num_nodes, self.num_ops)
 
     @cached_property
-    def param_slots(self) -> tuple[int | None, ...]:
-        """Per-op index into the weight tensor, None for parameter-free ops."""
-        slots, k = [], 0
-        for op in self.candidate_ops:
-            if op in PARAM_FREE_OPS:
-                slots.append(None)
-            else:
-                slots.append(k)
-                k += 1
-        return tuple(slots)
+    def param_ops(self) -> tuple[int, ...]:
+        """Op index of each parametric op, in weight-slot order."""
+        return tuple(o for o, op in enumerate(self.candidate_ops)
+                     if op not in PARAM_FREE_OPS)
 
     @cached_property
     def num_param_ops(self) -> int:
-        return sum(1 for s in self.param_slots if s is not None)
+        return len(self.param_ops)
+
+    @cached_property
+    def activations(self) -> tuple[tuple, ...]:
+        """The registry entry (activation, derivative, kinked) of each
+        weight slot."""
+        return tuple(_ACTIVATIONS[self.candidate_ops[o]]
+                     for o in self.param_ops)
+
+    @cached_property
+    def mix(self) -> tuple[tuple[int, int | None], ...]:
+        """(op, slot) of each op an edge sums, in op order: the slot is
+        None for skip, which passes its input through, and zero is left
+        out."""
+        slot = {o: k for k, o in enumerate(self.param_ops)}
+        return tuple((o, slot.get(o)) for o, op in enumerate(self.candidate_ops)
+                     if op != "zero")
 
 
 def decode(position: np.ndarray, layout: ArchLayout) -> np.ndarray:
@@ -161,8 +171,7 @@ def op_frequencies(genotype: Genotype, layout: ArchLayout) -> np.ndarray:
 def parameter_free_fraction(genotype: Genotype, layout: ArchLayout) -> float:
     """Fraction of edges selecting a parameter-free operation."""
     freqs = op_frequencies(genotype, layout)
-    return float(sum(freqs[i] for i, op in enumerate(layout.candidate_ops)
-                     if op in PARAM_FREE_OPS))
+    return float(sum(np.delete(freqs, layout.param_ops)))
 
 
 def edge_weights(scores: np.ndarray) -> np.ndarray:
@@ -267,9 +276,8 @@ def _edge_transform(state: SupernetState, cell: int, edge: int,
         return None, None
     pre = x @ state.op_w[cell, edge] + state.op_b[cell, edge][:, None, :]
     out = np.empty_like(pre)
-    for op, k in zip(layout.candidate_ops, layout.param_slots):
-        if k is not None:
-            out[k] = _ACTIVATIONS[op][0](pre[k])
+    for k, (act, _, _) in enumerate(layout.activations):
+        out[k] = act(pre[k])
     return pre, out
 
 
@@ -303,7 +311,6 @@ def _cell_forward(state: SupernetState, cell: int, weights: np.ndarray,
     transforms of the input-node edges come from ``input_edges`` when it is
     given (an Embedding's ``edges``) and are computed otherwise."""
     layout = state.layout
-    ops = tuple(enumerate(zip(layout.candidate_ops, layout.param_slots)))
     nodes = [s, s]
     edge = 0
     edge_trace = []
@@ -319,11 +326,8 @@ def _cell_forward(state: SupernetState, cell: int, weights: np.ndarray,
                 pre, out = _edge_transform(state, cell, edge, x)
             # mixed in op order, whatever the order of candidate_ops
             mixed = np.zeros(x.shape)
-            for o, (op, k) in ops:
-                if op == "skip":
-                    mixed += w[o] * x
-                elif k is not None:
-                    mixed += w[o] * out[k]
+            for o, k in layout.mix:
+                mixed += w[o] * (x if k is None else out[k])
             acc = acc + mixed
             if traces is not None:
                 edge_trace.append((i, x, w, pre, out))
@@ -393,8 +397,6 @@ def _cell_backward(state: SupernetState, cell: int, d_out: np.ndarray,
     ``wgrads``, cell 0's input-node edges add nothing to that gradient: only
     the stem's weight gradient reads it."""
     layout = state.layout
-    ops = tuple(enumerate(zip(layout.candidate_ops, layout.param_slots)))
-    param = np.array([o for o, (_, k) in ops if k is not None], dtype=int)
     f = state.feature_dim
 
     if wgrads is not None:
@@ -412,31 +414,26 @@ def _cell_backward(state: SupernetState, cell: int, d_out: np.ndarray,
             i, x, w, pre, out = trace.edges[edge]
             if agrad_cell is not None:
                 # softmax backward: d alpha = w * (g - <w, g>), g_o = <d_acc, out_o>
+                if out is not None:
+                    g_slot = (d_acc * out).reshape(len(out), -1).sum(axis=1)
                 g = np.zeros(layout.num_ops)
-                if param.size:
-                    g[param] = (d_acc * out).reshape(len(param), -1).sum(axis=1)
-                for o, (op, _) in ops:
-                    if op == "skip":
-                        g[o] = float((d_acc * x).sum())
+                for o, k in layout.mix:
+                    g[o] = (d_acc * x).sum() if k is None else g_slot[k]
                 agrad_cell[edge] += w * (g - float(w @ g))
             if need_input or i >= 2:
-                if param.size:
+                if out is not None:
                     d_pre = np.empty_like(pre)
-                    for o, (op, k) in ops:
-                        if k is not None:
-                            d_pre[k] = _ACTIVATIONS[op][1](pre[k], out[k])
-                    d_pre *= w[param][:, None, None] * d_acc
+                    for k, (_, deriv, _) in enumerate(layout.activations):
+                        d_pre[k] = deriv(pre[k], out[k])
+                    d_pre *= w.take(layout.param_ops)[:, None, None] * d_acc
                     if wgrads is not None:
                         wgrads.op_w[cell, edge] += x.T @ d_pre
                         wgrads.op_b[cell, edge] += d_pre.sum(axis=1)
                     d_xs = d_pre @ state.op_w[cell, edge].transpose(0, 2, 1)
                 # d_x in op order, whatever the order of candidate_ops
                 d_x = np.zeros(x.shape)
-                for o, (op, k) in ops:
-                    if op == "skip":
-                        d_x += w[o] * d_acc
-                    elif k is not None:
-                        d_x += d_xs[k]
+                for o, k in layout.mix:
+                    d_x += w[o] * d_acc if k is None else d_xs[k]
                 d_nodes[i] += d_x
             edge -= 1
     return d_nodes[0] + d_nodes[1]

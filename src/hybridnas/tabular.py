@@ -252,6 +252,18 @@ def query(space: TabularSpace, genotype: Genotype, budget: QueryBudget) -> Metri
     return space.at(row)
 
 
+def check_layout(space: TabularSpace, layout: ArchLayout) -> None:
+    """Reject a layout whose genotypes are not the space's: another edge
+    count, or other ops or another op order, which would look up the wrong
+    rows."""
+    if 2 * layout.edges_per_cell != space.num_edges:
+        raise ValueError(f"layout has {2 * layout.edges_per_cell} edges, "
+                         f"space expects {space.num_edges}")
+    if space.op_names != layout.candidate_ops:
+        raise ValueError(f"layout ops {list(layout.candidate_ops)} differ "
+                         f"from space ops {list(space.op_names)}")
+
+
 def evaluate_position(space: TabularSpace, position: np.ndarray,
                       layout: ArchLayout, budget: QueryBudget
                       ) -> tuple[float, Genotype]:
@@ -259,9 +271,7 @@ def evaluate_position(space: TabularSpace, position: np.ndarray,
 
     Returns (loss proxy, genotype) with loss proxy = 1 - validation accuracy.
     """
-    if 2 * layout.edges_per_cell != space.num_edges:
-        raise ValueError(f"layout has {2 * layout.edges_per_cell} edges, "
-                         f"space expects {space.num_edges}")
+    check_layout(space, layout)
     genotype = discretize(decode(position, layout))
     metrics = query(space, genotype, budget)
     return 1.0 - metrics.valid_acc, genotype

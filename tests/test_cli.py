@@ -79,6 +79,30 @@ def test_flags_override_file(tmp_path):
     assert cfg.settings.swarm.pop_size == 33
 
 
+def test_library_overrides_are_parsed_by_key_type():
+    # Strings parse like file values: "false" used to stay a truthy string
+    # that turned timing on, and "33" to escape as a TypeError.
+    cfg = parse_config(None, {"timing": "false", "pop_size": "33",
+                              "seed": "5", "stop_mode": "strict"})
+    assert cfg.timing is False and cfg.seed == 5
+    assert cfg.settings.swarm.pop_size == 33
+    assert cfg.settings.stage.stop_mode is StopMode.STRICT
+    # typed values still work
+    cfg = parse_config(None, {"timing": True, "pop_size": 33, "phi": 0.4,
+                              "stop_mode": StopMode.STRICT})
+    assert cfg.timing is True and cfg.settings.swarm.phi == 0.4
+    assert cfg.settings.swarm.pop_size == 33
+    assert cfg.settings.stage.stop_mode is StopMode.STRICT
+
+
+@pytest.mark.parametrize("key, value", [
+    ("pop_size", "two"), ("seed", "x"), ("timing", "ture"), ("pop_size", 3.5)])
+def test_bad_library_override_names_key(key, value):
+    with pytest.raises(ValueError,
+                       match=rf"^bad value for {key}: '{value}'"):
+        parse_config(None, {key: value})
+
+
 def test_bad_value_names_key_and_line(tmp_path):
     path = write(tmp_path, "c.txt", "\npop_size = two\n")
     with pytest.raises(ValueError, match=r"pop_size.*line 2"):
@@ -498,6 +522,14 @@ def test_bad_sizes_rejected_before_run(tmp_path, capsys, argv, field):
     assert main_cli(argv) == 1
     assert field in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("batch", [0, -1])
+def test_check_grad_rejects_bad_batch(capsys, batch):
+    # These used to print "batch has shape (0, 2)..." and numpy's
+    # "negative dimensions are not allowed".
+    assert main_cli(["check-grad", "--batch", str(batch)]) == 1
+    assert capsys.readouterr().err == f"error: batch must be >= 1, got {batch}\n"
 
 
 def test_empty_ops_rejected_before_run(tmp_path, capsys):

@@ -50,14 +50,19 @@ def test_param_dimension_validation():
     (3, ("skip", "zero")), (4, KNOWN_OPS)])
 def test_layout_derived_sizes_are_cached_and_frozen(num_nodes, ops):
     layout = ArchLayout(num_nodes, ops)
-    slots, k = [], 0
-    for op in ops:
-        slots.append(None if op in PARAM_FREE_OPS else k)
-        k += op not in PARAM_FREE_OPS
+    param_ops, mix, k = [], [], 0
+    for o, op in enumerate(ops):
+        if op == "skip":
+            mix.append((o, None))
+        elif op not in PARAM_FREE_OPS:
+            param_ops.append(o)
+            mix.append((o, k))
+            k += 1
     edges = sum(i + 2 for i in range(num_nodes))
     expected = {"num_ops": len(ops), "edges_per_cell": edges,
-                "dimension": 2 * edges * len(ops), "param_slots": tuple(slots),
-                "num_param_ops": k}
+                "dimension": 2 * edges * len(ops), "param_ops": tuple(param_ops),
+                "num_param_ops": k, "mix": tuple(mix),
+                "activations": tuple(_ACTIVATIONS[ops[o]] for o in param_ops)}
     for _ in range(2):   # computed, then read back from the cache
         assert {name: getattr(layout, name) for name in expected} == expected
     fresh = ArchLayout(num_nodes, ops)

@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import re
 import time
 import tracemalloc
 from dataclasses import astuple
@@ -326,6 +327,19 @@ def test_evaluate_position_rejects_layout_mismatch(space):
     big = ArchLayout(2, ("zero", "skip", "linear"))
     with pytest.raises(ValueError, match="edges"):
         evaluate_position(space, np.zeros(big.dimension), big, QueryBudget())
+
+
+@pytest.mark.parametrize("ops", [("linear", "skip", "zero"),
+                                 ("zero", "skip", "linear", "tanh_linear")])
+def test_evaluate_position_rejects_other_ops_than_space(space, ops):
+    # Same edge count, other op order or op count: the old edge check let
+    # these score mislabelled genotypes.
+    other = ArchLayout(1, ops)
+    with pytest.raises(ValueError, match=re.escape(
+            f"layout ops {list(ops)} differ from space ops "
+            f"{list(LAYOUT.candidate_ops)}")):
+        evaluate_position(space, np.zeros(other.dimension), other,
+                          QueryBudget())
 
 
 # ---------------------------------------------------------------- oracle
