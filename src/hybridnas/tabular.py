@@ -72,6 +72,8 @@ class TabularSpace:
     metrics: np.ndarray
 
     def __post_init__(self):
+        # a tuple, so it compares equal to a layout's candidate_ops
+        self.op_names = tuple(self.op_names)
         shape = (self.num_ops ** self.num_edges, 3)
         if self.metrics.shape != shape:
             raise ValueError(f"metrics has shape {self.metrics.shape}, expected {shape}")

@@ -342,6 +342,17 @@ def test_evaluate_position_rejects_other_ops_than_space(space, ops):
                           QueryBudget())
 
 
+def test_space_built_with_listed_op_names_matches_its_layout(space):
+    # A list of op names used to differ from every layout's tuple, so the
+    # layout check rejected a matching layout with two identical lists.
+    listed = TabularSpace("t", space.num_edges, list(space.op_names),
+                          space.metrics)
+    assert listed.op_names == LAYOUT.candidate_ops
+    loss, _ = evaluate_position(listed, np.zeros(LAYOUT.dimension), LAYOUT,
+                                QueryBudget())
+    assert loss == 1.0 - space.table["0-0-0-0"].valid_acc
+
+
 # ---------------------------------------------------------------- oracle
 
 def test_brute_force_best_is_global_max(space):
