@@ -72,6 +72,11 @@ class TabularSpace:
     metrics: np.ndarray
 
     def __post_init__(self):
+        # save_space writes the name on its own header line, and load_space
+        # strips it.
+        if "\n" in self.name or "\r" in self.name or self.name != self.name.strip():
+            raise ValueError(f"name must be one line without leading or trailing "
+                             f"whitespace, got {self.name!r}")
         # a tuple, so it compares equal to a layout's candidate_ops
         self.op_names = tuple(self.op_names)
         shape = (self.num_ops ** self.num_edges, 3)
@@ -170,6 +175,9 @@ def save_space(space: TabularSpace, path: str) -> None:
             fh.write(f"{key},{va!r},{ta!r},{cost!r}\n")
 
 
+_CHUNK_BYTES = 1 << 16   # about this many bytes of rows are parsed per step
+
+
 def load_space(path: str) -> TabularSpace:
     """Parse and fully validate a space file; the table must cover the
     exact cross-product of per-edge op choices."""
@@ -195,56 +203,118 @@ def load_space(path: str) -> TabularSpace:
         if "" in op_names or len(set(op_names)) < len(op_names):
             raise SpaceFormatError(f"header 'ops=' must name distinct, non-empty ops, "
                                    f"got {header['ops']!r}")
-        num_ops = len(op_names)
-        n = num_ops ** num_edges
+        rows = _Rows(num_edges, len(op_names))
+        line = 4
+        while lines := fh.readlines(_CHUNK_BYTES):
+            rows.add(lines, line)
+            line += len(lines)
+    return TabularSpace(header["name"], num_edges, op_names, rows.metrics())
 
-        # Rows usually come in row order, as save_space writes them: a key
-        # equal to the next canonical one is row p without parsing.  Any
-        # other key is parsed.  Nothing of size n is built before the file
-        # has covered the table.
-        canonical = _keys(num_edges, num_ops)
-        ahead, p = next(canonical), 0   # rows 0..p-1 came in order
-        values = array("d")             # their metrics, row-major
-        scattered = {}                  # row -> metrics of every other row
-        for i, ln in enumerate(fh, start=4):
-            if not ln.strip():
-                continue
-            parts = ln.rstrip("\n").split(",")
-            if len(parts) != 4:
-                raise SpaceFormatError(f"line {i}: expected 4 fields, got {len(parts)}")
-            key, va, ta, cost = parts
-            row = p if key == ahead else _key_row(key, num_edges, num_ops)
-            if row is None:
-                raise SpaceFormatError(f"line {i}: bad genotype key {key!r}")
-            if row < p or row in scattered:
-                raise SpaceFormatError(f"line {i}: duplicate genotype {key!r}")
-            try:
-                va, ta, cost = float(va), float(ta), float(cost)
-            except ValueError as exc:
-                raise SpaceFormatError(f"line {i}: {exc}") from None
-            if not math.isfinite(cost):
-                raise SpaceFormatError(f"line {i}: cost {cost} is not finite for {key!r}")
-            if cost <= 0.0:
-                raise SpaceFormatError(f"line {i}: cost {cost} is not positive for {key!r}")
-            for acc in (va, ta):
-                if not 0.0 <= acc <= 1.0:
-                    raise SpaceFormatError(f"line {i}: accuracy {acc} out of range for {key!r}")
-            if row == p:
-                values.extend((va, ta, cost))
-                ahead, p = next(canonical, None), p + 1
-            else:
-                scattered[row] = (va, ta, cost)
 
-    # Accepted rows are distinct, so the count alone proves coverage; the
-    # scan only names the first missing key.
-    if p + len(scattered) != n:
-        missing = next(r for r in itertools.count(p) if r not in scattered)
-        raise SpaceFormatError(f"missing genotype {_row_key(missing, num_edges, num_ops)!r}")
-    metrics = np.empty((n, 3))
-    metrics[:p] = np.frombuffer(values).reshape(p, 3)
-    for row, m in scattered.items():
-        metrics[row] = m
-    return TabularSpace(header["name"], num_edges, op_names, metrics)
+class _Rows:
+    """The rows of a space file, taken a chunk of lines at a time.
+
+    Rows usually come in row order, as save_space writes them: a chunk whose
+    keys are the next canonical ones, in order, is parsed as a whole.  Any
+    other chunk goes line by line, where a key equal to the next canonical
+    one is row p without parsing and any other key is parsed.  Nothing of
+    size n is built before the file has covered the table."""
+
+    def __init__(self, num_edges: int, num_ops: int):
+        self.num_edges, self.num_ops = num_edges, num_ops
+        self.canonical = _keys(num_edges, num_ops)
+        self.ahead: list[str] = []   # keys of rows p, p+1, ... drawn from canonical
+        self.p = 0                   # rows 0..p-1 came in order
+        self.values = array("d")     # their metrics, row-major
+        self.scattered = {}          # row -> metrics of every other row
+
+    def add(self, lines: list[str], first: int) -> None:
+        """Take ``lines``, the first of which is line ``first`` of the file."""
+        m = len(lines)
+        if len(self.ahead) < m:
+            self.ahead += itertools.islice(self.canonical, m - len(self.ahead))
+        chunk = _in_order_metrics(lines, self.ahead[:m])
+        # a scattered row among rows p..p+m-1 is a duplicate line
+        if chunk is None or not self.scattered.keys().isdisjoint(range(self.p, self.p + m)):
+            for i, ln in enumerate(lines, start=first):
+                self._add_line(ln, i)
+        else:
+            self.values.extend(chunk)
+            self.p += m
+            del self.ahead[:m]
+
+    def _add_line(self, ln: str, i: int) -> None:
+        if not ln.strip():
+            return
+        parts = ln.rstrip("\n").split(",")
+        if len(parts) != 4:
+            raise SpaceFormatError(f"line {i}: expected 4 fields, got {len(parts)}")
+        key, va, ta, cost = parts
+        p, scattered = self.p, self.scattered
+        # ahead[0] is the key of row p, until every row has come in order
+        row = p if key in self.ahead[:1] else _key_row(key, self.num_edges, self.num_ops)
+        if row is None:
+            raise SpaceFormatError(f"line {i}: bad genotype key {key!r}")
+        if row < p or row in scattered:
+            raise SpaceFormatError(f"line {i}: duplicate genotype {key!r}")
+        try:
+            va, ta, cost = float(va), float(ta), float(cost)
+        except ValueError as exc:
+            raise SpaceFormatError(f"line {i}: {exc}") from None
+        if not math.isfinite(cost):
+            raise SpaceFormatError(f"line {i}: cost {cost} is not finite for {key!r}")
+        if cost <= 0.0:
+            raise SpaceFormatError(f"line {i}: cost {cost} is not positive for {key!r}")
+        for acc in (va, ta):
+            if not 0.0 <= acc <= 1.0:
+                raise SpaceFormatError(f"line {i}: accuracy {acc} out of range for {key!r}")
+        if row == p:
+            self.values.extend((va, ta, cost))
+            self.p += 1
+            del self.ahead[0]
+        else:
+            scattered[row] = (va, ta, cost)
+
+    def metrics(self) -> np.ndarray:
+        """The (n, 3) table, once the rows cover it."""
+        p, scattered = self.p, self.scattered
+        n = self.num_ops ** self.num_edges
+        # Accepted rows are distinct, so the count alone proves coverage;
+        # the scan only names the first missing key.
+        if p + len(scattered) != n:
+            missing = next(r for r in itertools.count(p) if r not in scattered)
+            raise SpaceFormatError(
+                f"missing genotype {_row_key(missing, self.num_edges, self.num_ops)!r}")
+        metrics = np.empty((n, 3))
+        metrics[:p] = np.frombuffer(self.values).reshape(p, 3)
+        for row, m in scattered.items():
+            metrics[row] = m
+        return metrics
+
+
+def _in_order_metrics(lines: list[str], keys: list[str]) -> array | None:
+    """The metrics of ``lines`` if they are valid rows whose keys are
+    ``keys``, in order; else None, and nothing is taken."""
+    if not lines[-1].endswith("\n"):   # the file's last line
+        lines[-1] += "\n"
+    fields = ",".join(lines).split(",")
+    if len(fields) != 4 * len(lines) or fields[::4] != keys:
+        return None
+    # A line holds one newline, at its end, so if every fourth field holds
+    # one, every line has 4 fields.
+    if "".join(fields[3::4]).count("\n") != len(lines):
+        return None
+    del fields[::4]
+    try:
+        chunk = array("d", map(float, fields))
+    except ValueError:
+        return None
+    m = np.frombuffer(chunk).reshape(-1, 3)
+    acc, cost = m[:, :2], m[:, 2]
+    # min and max are NaN if any value is, which fails every comparison.
+    if cost.min() > 0.0 and cost.max() < math.inf and acc.min() >= 0.0 and acc.max() <= 1.0:
+        return chunk
+    return None
 
 
 def query(space: TabularSpace, genotype: Genotype, budget: QueryBudget) -> Metrics:
@@ -304,24 +374,36 @@ def generate_space(layout: ArchLayout, seed: int,
     rng = np.random.default_rng(seed)
     e = 2 * layout.edges_per_cell
     o = layout.num_ops
+    n = o ** e
     utility = rng.normal(0, 1, (e, o))
     pairs = [(a, b) for a in range(e) for b in range(a + 1, e)]
     interact = rng.normal(0, 0.6, (len(pairs), o, o))
 
-    scores = []
-    for combo in itertools.product(range(o), repeat=e):
-        s = sum(utility[i, c] for i, c in enumerate(combo))
-        s += sum(interact[p, combo[a], combo[b]] for p, (a, b) in enumerate(pairs))
-        s += 0.05 * rng.normal()
-        scores.append(s)
-    lo, hi = min(scores), max(scores)
+    # Every genotype at once, on one axis per edge with edge 0 first, so
+    # the C-order ravel is the row order.  Each score adds its terms in the
+    # order of a per-genotype loop (the edge utilities, then the pair
+    # interactions summed apart and added), so it is bitwise what that
+    # loop gave.
+    def on_edges(values, *edges):
+        shape = [1] * e
+        for i in edges:
+            shape[i] = o
+        return values.reshape(shape)
 
-    rows = []
-    for s in scores:
-        t = (s - lo) / (hi - lo) if hi > lo else 0.5
-        # convex ramp: most genotypes sit near 0.3, few approach 0.95
-        valid = 0.3 + 0.65 * t ** 6
-        test = min(1.0, max(0.0, valid + 0.01 * rng.normal()))
-        cost = math.exp(rng.normal(0, 0.3))
-        rows.append((valid, test, cost))
-    return TabularSpace(name, e, layout.candidate_ops, np.array(rows))
+    s = 0
+    for i in range(e):
+        s = s + on_edges(utility[i], i)
+    terms = 0
+    for p, (a, b) in enumerate(pairs):
+        terms = terms + on_edges(interact[p], a, b)
+    s = (s + terms).ravel() + 0.05 * rng.normal(size=n)
+    lo, hi = s.min(), s.max()
+
+    t = (s - lo) / (hi - lo) if hi > lo else np.full(n, 0.5)
+    # convex ramp: most genotypes sit near 0.3, few approach 0.95.  Python's
+    # ** and math.exp, per value, as numpy's differ in the last bit.
+    valid = 0.3 + 0.65 * np.array([x ** 6 for x in t.tolist()])
+    noise = rng.normal(size=(n, 2))
+    test = np.minimum(1.0, np.maximum(0.0, valid + 0.01 * noise[:, 0]))
+    cost = np.array([math.exp(0.3 * z) for z in noise[:, 1].tolist()])
+    return TabularSpace(name, e, layout.candidate_ops, np.column_stack((valid, test, cost)))

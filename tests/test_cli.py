@@ -463,6 +463,15 @@ def test_unused_seed_flag_is_rejected(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("name", [" padded ", "x\r", "a\nb"])
+def test_gen_space_rejects_a_name_that_does_not_load_back(tmp_path, capsys, name):
+    out = tmp_path / "space.txt"
+    assert main_cli(["gen-space", "--ops", "zero,skip", "--name", name,
+                     "--out", str(out)]) == 1
+    assert "error: name must be one line" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["search", "--seed", "-1", "--max-epochs", "1"],
     ["search", "--config", "{config}", "--max-epochs", "1"],

@@ -3,7 +3,7 @@
 The ``log.csv`` and ``genotype.txt`` hashes were recorded before the
 architecture scores became one (2, E, O) array; the ``compare_strategies``
 hash before the swarm became arrays.  A pure refactor must keep every byte
-of these outputs (and of the saved tabular space) unchanged.  ``config.txt``
+of these outputs (and of the saved tabular spaces) unchanged.  ``config.txt``
 lists every config key, so its hashes change when a key is removed; they
 were last re-recorded when the two never-used loss-bound override keys
 were deleted.
@@ -33,6 +33,8 @@ FILES = ("log.csv", "genotype.txt", "config.txt")
 TABULAR_OPS = ("zero", "skip", "linear", "relu_linear")
 
 SPACE_SHA256 = "4ae5386474ac93c1b567df04a4b1a75e8741f7392364b990735681dd62fc99bb"
+# 59,049 genotypes: ArchLayout(2, ("zero", "skip", "linear")), seed 1000
+WIDE_SPACE_SHA256 = "641ba0cb125d3df048336681f3eb022612022e212bbc12bb8383085f0ab0e343"
 STRATEGIES_SHA256 = "76636d3d7360cb83de1463b30d6feb369609c0476948f8c66d0abdd27c9c8eb4"
 
 GOLDEN = {
@@ -170,6 +172,20 @@ def output_hashes(directory, backend: str, seed: int) -> tuple[str, ...]:
 
 def test_saved_space_is_golden(tmp_path):
     assert sha256(tmp_path / write_space(tmp_path)) == SPACE_SHA256
+
+
+def test_saved_wide_space_is_golden(tmp_path):
+    # SPACE_SHA256 has 256 rows; this space has every row of a 2-node cell.
+    space = generate_space(ArchLayout(2, ("zero", "skip", "linear")), 1000)
+    save_space(space, str(tmp_path / "wide.txt"))
+    assert sha256(tmp_path / "wide.txt") == WIDE_SPACE_SHA256
+
+
+def test_one_genotype_space_is_golden():
+    # Every score is the lowest and the highest, so t is 0.5.
+    space = generate_space(ArchLayout(1, ("zero",)), 5)
+    assert space.metrics.tolist() == [
+        [0.31015624999999997, 0.29782296335969227, 0.7501518984957412]]
 
 
 def test_swarm_baselines_are_golden():

@@ -161,6 +161,15 @@ def test_load_wrong_field_count(tmp_path):
         load_space(path)
 
 
+def test_load_short_line_then_long_line_names_the_short_one(tmp_path):
+    # 3 + 5 fields: read as one run of fields, every fourth is a valid key.
+    path = _write_lines(tmp_path, [
+        "name=x", "edges=1", "ops=zero,skip",
+        "0,0.5,0.5", "1.0,1,0.5,0.5,1.0"])
+    with pytest.raises(SpaceFormatError, match="^line 4: expected 4 fields, got 3$"):
+        load_space(path)
+
+
 # 'ops=a,a' used to load, and 'ops=' failed only at coverage.
 @pytest.mark.parametrize("ops, rows", [
     ("zero,zero", ["0,0.5,0.5,1.0", "1,0.5,0.5,1.0"]), ("", ["0,0.5,0.5,1.0"]),
@@ -241,6 +250,99 @@ def test_load_retains_little_more_than_the_metrics(tmp_path):
     assert peak <= 4 * back.metrics.nbytes
 
 
+# A file many read chunks long: 3**8 = 6,561 rows of about 60 bytes each.
+# The tests place their rows by line, not by any chunk size.
+LONG = TabularSpace("long", 8, ("zero", "skip", "linear"),
+                    np.random.default_rng(5).uniform(0.1, 0.9, (3 ** 8, 3)))
+
+
+@pytest.fixture
+def long_lines(tmp_path):
+    """The lines of LONG's saved file; row r is on line r + 4."""
+    path = str(tmp_path / "long.txt")
+    save_space(LONG, path)
+    with open(path, encoding="utf-8") as fh:
+        return fh.read().splitlines()
+
+
+def _bad_row(line, kind):
+    """``line`` with a bad accuracy, key or number; and the error it gives."""
+    key, va, ta, cost = line.split(",")
+    return {"accuracy": (f"{key},1.5,{ta},{cost}",
+                         f"accuracy 1.5 out of range for '{key}'"),
+            "key": (f"9{line[1:]}", f"bad genotype key '9{key[1:]}'"),
+            "number": (f"{key},{va},abc,{cost}",
+                       "could not convert string to float: 'abc'")}[kind]
+
+
+@pytest.mark.parametrize("kind", ["accuracy", "key", "number"])
+@pytest.mark.parametrize("row", [1, 3000, 6560])
+def test_load_far_bad_line_names_it(tmp_path, long_lines, row, kind):
+    lines = list(long_lines)
+    lines[row + 3], message = _bad_row(lines[row + 3], kind)
+    with pytest.raises(SpaceFormatError, match=f"^line {row + 4}: {re.escape(message)}$"):
+        load_space(_write_lines(tmp_path, lines))
+
+
+def test_load_skips_blank_lines_and_counts_them(tmp_path, long_lines):
+    blank = ["", "   ", "\t"]
+    lines = long_lines[:10] + blank + long_lines[10:4000] + blank + long_lines[4000:]
+    assert np.array_equal(load_space(_write_lines(tmp_path, lines)).metrics, LONG.metrics)
+    # row 5000 sits on line 5004 + 6 blank lines
+    lines[5009], message = _bad_row(lines[5009], "accuracy")
+    with pytest.raises(SpaceFormatError, match=f"^line 5010: {re.escape(message)}$"):
+        load_space(_write_lines(tmp_path, lines))
+
+
+@pytest.mark.parametrize("order", ["reversed", "halves-swapped", "one-row-first"])
+def test_load_rows_out_of_order_across_chunks(tmp_path, long_lines, order):
+    rows = long_lines[3:]
+    rows = {"reversed": rows[::-1],
+            "halves-swapped": rows[3000:] + rows[:3000],
+            "one-row-first": [rows[5000]] + rows[:5000] + rows[5001:]}[order]
+    back = load_space(_write_lines(tmp_path, long_lines[:3] + rows))
+    assert np.array_equal(back.metrics, LONG.metrics)
+
+
+@pytest.mark.parametrize("row, after", [(2, 6000), (6500, 40)],
+                         ids=["copy-after-row", "copy-before-row"])
+def test_load_duplicate_across_chunks_names_its_second_line(tmp_path, long_lines,
+                                                            row, after):
+    # Row ``row`` is written a second time, after row ``after``; copied
+    # ahead of its place, the row's own line is the second one.
+    rows = long_lines[3:]
+    lines = long_lines[:3] + rows[:after + 1] + [rows[row]] + rows[after + 1:]
+    key = rows[row].split(",")[0]
+    with pytest.raises(SpaceFormatError,
+                       match=f"^line {max(row, after) + 5}: duplicate genotype '{key}'$"):
+        load_space(_write_lines(tmp_path, lines))
+
+
+@pytest.mark.parametrize("first, second", [("number", "key"), ("key", "number"),
+                                           ("accuracy", "key")])
+@pytest.mark.parametrize("gap", [1, 10, 3000])
+def test_load_names_the_earlier_of_two_bad_lines(tmp_path, long_lines, first, second, gap):
+    lines = list(long_lines)
+    lines[2003], message = _bad_row(lines[2003], first)
+    lines[2003 + gap], _ = _bad_row(lines[2003 + gap], second)
+    with pytest.raises(SpaceFormatError, match=f"^line 2004: {re.escape(message)}$"):
+        load_space(_write_lines(tmp_path, lines))
+
+
+@pytest.mark.parametrize("newline, final", [("\n", ""), ("\r\n", "\r\n"), ("\r\n", "")],
+                         ids=["no-final-newline", "crlf", "crlf-no-final-newline"])
+def test_load_line_endings_give_the_same_metrics(tmp_path, long_lines, newline, final):
+    path = tmp_path / "endings.txt"
+    path.write_bytes((newline.join(long_lines) + final).encode())
+    assert np.array_equal(load_space(str(path)).metrics, LONG.metrics)
+    # the last line still counts when it has no newline
+    lines = list(long_lines)
+    lines[-1], message = _bad_row(lines[-1], "accuracy")
+    path.write_bytes((newline.join(lines) + final).encode())
+    with pytest.raises(SpaceFormatError, match=f"^line 6564: {re.escape(message)}$"):
+        load_space(str(path))
+
+
 # ---------------------------------------------------------------- table view
 
 def test_table_view_reads_rows_in_key_order(space):
@@ -265,6 +367,21 @@ def test_table_view_rejects_other_keys(space, key):
 def test_space_rejects_metrics_of_wrong_shape():
     with pytest.raises(ValueError, match=r"shape \(8, 3\), expected \(9, 3\)"):
         TabularSpace("x", 2, ("zero", "skip", "linear"), np.zeros((8, 3)))
+
+
+# save_space writes the name on one header line and load_space strips it,
+# so ' padded ' came back as 'padded' and 'a\nb' wrote a file that failed.
+@pytest.mark.parametrize("name", [" padded ", "x\r", "a\nb", "\tx", "x\n"])
+def test_space_rejects_a_name_that_does_not_load_back(name):
+    with pytest.raises(ValueError, match="^name must be one line"):
+        TabularSpace(name, 1, ("zero", "skip"), np.full((2, 3), 0.5))
+
+
+@pytest.mark.parametrize("name", ["", "a b", "x=y,z"])
+def test_space_name_loads_back(tmp_path, name):
+    path = str(tmp_path / "space.txt")
+    save_space(TabularSpace(name, 1, ("zero", "skip"), np.full((2, 3), 0.5)), path)
+    assert load_space(path).name == name
 
 
 # ---------------------------------------------------------------- queries
