@@ -32,7 +32,8 @@ class HistoryArchive:
     """Ring buffer of past positions, used as the reference set for
     parameter-space diversity.  The rows live in one preallocated
     ``(capacity, dimension)`` array; ``add`` overwrites the oldest row once
-    the buffer is full.  ``norms[i]`` caches ``rows[i].dot(rows[i])`` for
+    the buffer is full.  ``norms[i]`` caches ``rows[i].dot(rows[i])`` and
+    ``norm_max`` the largest filled one (NaN if any is) for
     ``swarm_diversity``'s screen, so ``add`` is the only writer of ``rows``."""
 
     def __init__(self, dimension: int, capacity: int = 200):
@@ -42,6 +43,7 @@ class HistoryArchive:
         self.capacity = capacity
         self.rows = np.empty((capacity, dimension))
         self.norms = np.empty(capacity)
+        self.norm_max = -math.inf
         self.added = 0
 
     def __len__(self) -> int:
@@ -58,6 +60,9 @@ class HistoryArchive:
         row[:] = _position(position, self.dimension)
         self.norms[i] = row.dot(row)
         self.added += 1
+        # In full, not incrementally: the evicted row may have held the
+        # maximum, and a NaN norm must stay NaN until its row is evicted.
+        self.norm_max = float(self.norms[:len(self)].max())
 
 
 def _position(x, dimension: int) -> np.ndarray:
@@ -85,7 +90,7 @@ def swarm_diversity(x: np.ndarray, history: HistoryArchive) -> float:
     if not n:
         return 1.0
     rows, norms = history.rows[:n], history.norms[:n]
-    scale = float(x.dot(x)) + float(norms.max())
+    scale = float(x.dot(x)) + history.norm_max
     if scale < 1e300:
         # |x - r|^2 = |x|^2 + s_r with s_r = |r|^2 - 2 r.x, so one
         # matrix-vector product ranks every row (x + x is exact).  With
@@ -97,16 +102,24 @@ def swarm_diversity(x: np.ndarray, history: HistoryArchive) -> float:
         # overflows, so s is finite.
         s = norms - rows @ (x + x)
         margin = 1e-10 * (history.dimension + 4) * scale + 1e-300
-        near = np.flatnonzero(s <= s[s.argmin()] + margin)
+        i = s.argmin()
+        near = (s <= s[i] + margin).nonzero()[0]
+        if len(near) == 1:   # the usual case: only row i is in the margin
+            d = x - rows[i]
+            return _tanh_distance(float(d.dot(d)), history.dimension)
     else:
         # A NaN or inf coordinate, or a huge one, scores every row: a NaN x
         # scores NaN and an inf one 1.0.
         near = np.arange(n)
+    return _tanh_distance(min(float(d.dot(d)) for d in x - rows[near]),
+                          history.dimension)
+
+
+def _tanh_distance(sq: float, dimension: int) -> float:
     # sqrt(d.dot(d)) is np.linalg.norm of a contiguous 1-D float vector, and
     # sqrt is monotone, so taking it after the min gives norm's minimum bit
-    # for bit.  Usually one row is left.
-    sq = min(float(d.dot(d)) for d in x - rows[near])
-    return math.tanh(math.sqrt(sq) / math.sqrt(history.dimension))
+    # for bit.
+    return math.tanh(math.sqrt(sq) / math.sqrt(dimension))
 
 
 def entropy_diversity(frequencies: np.ndarray) -> float:

@@ -155,7 +155,7 @@ def genotype_key(indices: tuple[int, ...]) -> str:
 
 def discretize(alpha: np.ndarray) -> Genotype:
     """Per-edge argmax over op scores; ties go to the lowest op index."""
-    if not np.all(np.isfinite(alpha)):
+    if not np.isfinite(alpha).all():
         raise ValueError("architecture scores must be finite")
     normal, reduce = alpha.argmax(axis=2).tolist()
     return Genotype(tuple(normal), tuple(reduce))
@@ -177,7 +177,7 @@ def parameter_free_fraction(genotype: Genotype, layout: ArchLayout) -> float:
 def edge_weights(scores: np.ndarray) -> np.ndarray:
     """Stable softmax over the op scores (the last axis) of every edge."""
     a = np.asarray(scores, dtype=float)
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError("edge scores must be finite")
     z = np.exp(a - a.max(axis=-1, keepdims=True))
     return z / z.sum(axis=-1, keepdims=True)

@@ -132,10 +132,21 @@ class _TableView(Mapping):
         return self._space.size
 
 
+_TAIL_KEYS = 1 << 12   # at most this many tail half-keys are built up front
+
+
 def _keys(num_edges: int, num_ops: int):
-    """Every genotype key, lazily, in row order."""
+    """Every genotype key, lazily, in row order.  A key is a head half-key
+    plus a tail half-key, the "-"-prefixed indices of the last edges (up to
+    half of them).  The tails are built once, so a key costs one
+    concatenation, not a join over every edge."""
     digits = [str(i) for i in range(num_ops)]
-    return map("-".join, itertools.product(digits, repeat=num_edges))
+    lo = num_edges // 2
+    while num_ops ** lo > _TAIL_KEYS:
+        lo -= 1
+    tails = ["".join("-" + d for d in p) for p in itertools.product(digits, repeat=lo)]
+    heads = map("-".join, itertools.product(digits, repeat=num_edges - lo))
+    return (h + t for h in heads for t in tails)
 
 
 def _key_row(key: str, num_edges: int, num_ops: int) -> int | None:

@@ -76,30 +76,48 @@ def test_tracer_bindings_resolve():
             assert callable(getattr(backend, name, None)), (backend.__name__, name)
 
 
-@pytest.mark.parametrize("base_cls, make, fitness_span", [
+BACKENDS = pytest.mark.parametrize("base_cls, make, fitness_span", [
     (TabularBackend, tabular_backend, "tabular.evaluate_position"),
     (SupernetBackend, supernet_backend, "supernet.loss"),
 ], ids=["tabular", "supernet"])
-def test_traced_search_matches_untraced(base_cls, make, fitness_span):
-    # A search run through the tracer's wrappers gives the same output, and
-    # the wrapped names see the expected number of calls: G generations per
-    # exploration epoch, and P fitness calls per generation plus P for the
-    # epoch's base fitness.
+
+
+def check_traced_matches_untraced(settings, base_cls, make, fitness_span):
     tracer, workloads = perfbench_modules()
-    plain = run_search(SETTINGS, make(base_cls), seed=0)
+    plain = run_search(settings, make(base_cls), seed=0)
     t = tracer.Tracer()
     with tracer.patched(tracer.instrument(t)):
-        traced = run_search(SETTINGS, make(tracer.traced_backend(base_cls, t)),
+        traced = run_search(settings, make(tracer.traced_backend(base_cls, t)),
                             seed=0)
     assert workloads.serialize(traced) == workloads.serialize(plain)
     explore = sum(r.stage == Stage.EXPLORATION.value for r in traced.records)
-    g, p = SETTINGS.swarm.generations_per_epoch, SETTINGS.swarm.pop_size
+    g, p = settings.swarm.generations_per_epoch, settings.swarm.pop_size
     assert explore == 2
     assert t.calls("swarm.generation") == explore * g
     assert t.calls(fitness_span) == explore * (g + 1) * p
     assert t.calls("fitness.swarm_diversity") == explore * g * p
     if base_cls is SupernetBackend:
         assert t.calls("supernet.loss_and_grads") == backward_calls(traced)
+    return explore * g
+
+
+@BACKENDS
+def test_traced_search_matches_untraced(base_cls, make, fitness_span):
+    # A search run through the tracer's wrappers gives the same output, and
+    # the wrapped names see the expected number of calls: G generations per
+    # exploration epoch, and P fitness calls per generation plus P for the
+    # epoch's base fitness.
+    check_traced_matches_untraced(SETTINGS, base_cls, make, fitness_span)
+
+
+@BACKENDS
+def test_traced_search_with_wrapping_archive(base_cls, make, fitness_span):
+    # The same, with an archive that evicts rows while the swarm explores:
+    # one row is added per generation.
+    settings = replace(SETTINGS, history_capacity=3)
+    generations = check_traced_matches_untraced(settings, base_cls, make,
+                                                fitness_span)
+    assert generations > settings.history_capacity
 
 
 def test_traced_stability_counts_every_backward_call():

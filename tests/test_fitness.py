@@ -196,6 +196,47 @@ def test_history_norms_follow_their_rows():
     assert len(h) == capacity
 
 
+def test_history_norm_max_follows_norms():
+    # add caches the largest filled norm.  The script evicts the row that
+    # held the maximum, then lets a NaN row and an inf row enter and leave.
+    # swarm_diversity is compared with == against the per-row norm, or both
+    # are NaN.  With a NaN row, Python's min keeps NaN only when it comes
+    # first, so there the reference scans the rows in storage order, as the
+    # full scan does.
+    def same(a, b):
+        return a == b or (math.isnan(a) and math.isnan(b))
+
+    capacity, dim = 4, 5
+    rng = np.random.default_rng(7)
+    h = HistoryArchive(dimension=dim, capacity=capacity)
+    big = np.full(dim, 9.0)
+    nan_row = np.array([0.5, np.nan, -1.0, 2.0, 0.0])
+    inf_row = np.array([0.5, np.inf, -1.0, 2.0, 0.0])
+    script = ([big] + [rng.uniform(-1.0, 1.0, dim) for _ in range(capacity)]
+              + [nan_row] + [rng.uniform(-2.0, 2.0, dim) for _ in range(capacity)]
+              + [inf_row] + [rng.uniform(-3.0, 3.0, dim) for _ in range(capacity)])
+    maxima = []
+    for row in script:
+        h.add(row)
+        n = len(h)
+        assert same(h.norm_max, float(h.norms[:n].max()))
+        maxima.append(h.norm_max)
+        has_nan = bool(np.isnan(h.rows[:n]).any())
+        reference = h.rows[:n] if has_nan else h.entries
+        finite = h.rows[:n][np.isfinite(h.rows[:n]).all(axis=1)]
+        for x in (rng.uniform(-3.0, 3.0, dim), finite[rng.integers(len(finite))],
+                  np.full(dim, 1e151)):   # past the scale bound
+            assert same(swarm_diversity(x, h), _rowwise(x, reference))
+    assert maxima[0] == maxima[capacity - 1] == 9.0 * 9.0 * dim
+    assert maxima[capacity] < 9.0 * 9.0 * dim             # big evicted
+    nan_at = capacity + 1
+    assert all(math.isnan(m) for m in maxima[nan_at:nan_at + capacity])
+    assert math.isfinite(maxima[nan_at + capacity])        # NaN row evicted
+    inf_at = nan_at + capacity + 1
+    assert all(m == math.inf for m in maxima[inf_at:inf_at + capacity])
+    assert math.isfinite(maxima[inf_at + capacity])        # inf row evicted
+
+
 @given(st.lists(st.floats(-50, 50), min_size=3, max_size=3))
 def test_swarm_diversity_in_unit_interval(x):
     h = HistoryArchive(dimension=3)
