@@ -33,8 +33,8 @@ class HistoryArchive:
     parameter-space diversity.  The rows live in one preallocated
     ``(capacity, dimension)`` array; ``add`` overwrites the oldest row once
     the buffer is full.  ``norms[i]`` caches ``rows[i].dot(rows[i])`` and
-    ``norm_max`` the largest filled one (NaN if any is) for
-    ``swarm_diversity``'s screen, so ``add`` is the only writer of ``rows``."""
+    ``norm_max`` the largest filled one for ``swarm_diversity``'s screen, so
+    ``add`` is the only writer of ``rows``."""
 
     def __init__(self, dimension: int, capacity: int = 200):
         if capacity < 1:
@@ -55,14 +55,31 @@ class HistoryArchive:
         return np.roll(self.rows[:len(self)], -self.added, axis=0)
 
     def add(self, position: np.ndarray) -> None:
+        """Raises ValueError, leaving the archive as it was, if the row has a
+        non-finite coordinate or ``|row|^2`` is 1e300 or more (which every
+        later ``swarm_diversity`` call would reject)."""
+        # Contiguous, so its dot is the stored row's bit for bit.
+        x = np.ascontiguousarray(_position(position, self.dimension))
+        norm = float(x.dot(x))
+        if not norm < _SCALE_MAX:
+            _reject(x, "archive row", "|row|^2", norm)
         i = self.added % self.capacity
-        row = self.rows[i]
-        row[:] = _position(position, self.dimension)
-        self.norms[i] = row.dot(row)
+        self.rows[i] = x
+        self.norms[i] = norm
         self.added += 1
-        # In full, not incrementally: the evicted row may have held the
-        # maximum, and a NaN norm must stay NaN until its row is evicted.
+        # In full, not incrementally: the evicted row may have held the maximum.
         self.norm_max = float(self.norms[:len(self)].max())
+
+
+_SCALE_MAX = 1e300   # swarm_diversity's bound on |x|^2 + max |r|^2
+
+
+def _reject(x: np.ndarray, what: str, scale_name: str, scale: float):
+    bad = np.flatnonzero(~np.isfinite(x))
+    if len(bad):
+        raise ValueError(f"{what} coordinate {bad[0]} is {x[bad[0]]}, not finite")
+    raise ValueError(f"{what} is too large: {scale_name} = {scale:g}, "
+                     f"not below {_SCALE_MAX:g}")
 
 
 def _position(x, dimension: int) -> np.ndarray:
@@ -83,34 +100,34 @@ def base_fitness(loss: float, loss_max: float) -> float:
 def swarm_diversity(x: np.ndarray, history: HistoryArchive) -> float:
     """tanh of the scaled distance to the nearest archive entry.
 
-    An empty archive means everything is maximally novel (1.0).
+    An empty archive means everything is maximally novel (1.0).  Raises
+    ValueError if x has a non-finite coordinate, or if
+    ``|x|^2 + max |r|^2`` is 1e300 or more.
     """
     x = _position(x, history.dimension)
+    # norm_max is -inf while the archive is empty, so a finite x passes.
+    scale = float(x.dot(x)) + history.norm_max
+    if not scale < _SCALE_MAX:
+        _reject(x, "position", "|x|^2 + max |r|^2", scale)
     n = len(history)
     if not n:
         return 1.0
     rows, norms = history.rows[:n], history.norms[:n]
-    scale = float(x.dot(x)) + history.norm_max
-    if scale < 1e300:
-        # |x - r|^2 = |x|^2 + s_r with s_r = |r|^2 - 2 r.x, so one
-        # matrix-vector product ranks every row (x + x is exact).  With
-        # gamma ~ (D+2) eps, s_r is off by at most about gamma (|r|^2 + 2|r||x|)
-        # and the exact step's own ddot by about gamma |x - r|^2, so the
-        # nearest row's s_r exceeds the smallest by less than
-        # 10 gamma (|x|^2 + max |r|^2).  The margin is about 1e6 times that,
-        # and its floor covers underflow.  Below the scale bound nothing
-        # overflows, so s is finite.
-        s = norms - rows @ (x + x)
-        margin = 1e-10 * (history.dimension + 4) * scale + 1e-300
-        i = s.argmin()
-        near = (s <= s[i] + margin).nonzero()[0]
-        if len(near) == 1:   # the usual case: only row i is in the margin
-            d = x - rows[i]
-            return _tanh_distance(float(d.dot(d)), history.dimension)
-    else:
-        # A NaN or inf coordinate, or a huge one, scores every row: a NaN x
-        # scores NaN and an inf one 1.0.
-        near = np.arange(n)
+    # |x - r|^2 = |x|^2 + s_r with s_r = |r|^2 - 2 r.x, so one
+    # matrix-vector product ranks every row (x + x is exact).  With
+    # gamma ~ (D+2) eps, s_r is off by at most about gamma (|r|^2 + 2|r||x|)
+    # and the exact step's own ddot by about gamma |x - r|^2, so the
+    # nearest row's s_r exceeds the smallest by less than
+    # 10 gamma (|x|^2 + max |r|^2).  The margin is about 1e6 times that,
+    # and its floor covers underflow.  Below the scale bound nothing
+    # overflows, so s is finite.
+    s = norms - rows @ (x + x)
+    margin = 1e-10 * (history.dimension + 4) * scale + 1e-300
+    i = s.argmin()
+    near = (s <= s[i] + margin).nonzero()[0]
+    if len(near) == 1:   # the usual case: only row i is in the margin
+        d = x - rows[i]
+        return _tanh_distance(float(d.dot(d)), history.dimension)
     return _tanh_distance(min(float(d.dot(d)) for d in x - rows[near]),
                           history.dimension)
 

@@ -42,8 +42,11 @@ class SwarmConfig:
             raise ValueError(f"phi must lie in [0, 1], got {self.phi}")
         if self.generations_per_epoch < 1:
             raise ValueError("generations_per_epoch must be positive")
-        if not 0.0 < self.swarm_bound < math.inf:
-            raise ValueError(f"swarm_bound must be positive and finite, "
+        # Positions lie in the cube, so swarm_diversity's scale
+        # |x|^2 + max |r|^2 <= 2 D bound^2 stays below its 1e300 limit for
+        # any D below 5e99.
+        if not 0.0 < self.swarm_bound <= 1e100:
+            raise ValueError(f"swarm_bound must be positive and at most 1e100, "
                              f"got {self.swarm_bound}")
 
 

@@ -505,7 +505,8 @@ def test_module_entry_point_runs_from_a_checkout():
 
 def test_nonfinite_values_rejected_before_run(tmp_path, capsys):
     out_dir = tmp_path / "run"
-    for flag, value in (("--eta-w", "nan"), ("--swarm-bound", "inf")):
+    for flag, value in (("--eta-w", "nan"), ("--swarm-bound", "inf"),
+                        ("--swarm-bound", "1e200")):
         rc = main_cli(["search", flag, value, "--max-epochs", "1",
                        "--out", str(out_dir)])
         assert rc == 1

@@ -172,17 +172,19 @@ def test_swarm_diversity_screen_survives_cancellation(offset):
 
 def test_swarm_diversity_non_finite_and_empty():
     h = HistoryArchive(dimension=4)
-    assert swarm_diversity(np.full(4, np.nan), h) == 1.0
+    assert swarm_diversity(np.array([0.5, 1.0, -1.0, 2.0]), h) == 1.0
+    with pytest.raises(ValueError, match="position coordinate 0 is nan"):
+        swarm_diversity(np.full(4, np.nan), h)
     rng = np.random.default_rng(0)
     for _ in range(10):
         h.add(rng.uniform(-3.0, 3.0, 4))
-    x = np.array([0.5, np.nan, -1.0, 2.0])
-    assert math.isnan(swarm_diversity(x, h))
-    for bad in (np.inf, -np.inf):
+    for bad in (np.nan, np.inf, -np.inf):
         x = np.array([0.5, bad, -1.0, 2.0])
-        assert swarm_diversity(x, h) == _rowwise(x, h.entries) == 1.0
-    x = np.array([np.inf, -np.inf, 0.0, 0.0])   # rows @ x mixes inf and -inf
-    assert swarm_diversity(x, h) == 1.0
+        with pytest.raises(ValueError, match=f"position coordinate 1 is {bad}"):
+            swarm_diversity(x, h)
+    x = np.array([np.inf, -np.inf, 0.0, 0.0])   # rows @ x would mix inf and -inf
+    with pytest.raises(ValueError, match="position coordinate 0 is inf"):
+        swarm_diversity(x, h)
 
 
 def test_history_norms_follow_their_rows():
@@ -198,14 +200,8 @@ def test_history_norms_follow_their_rows():
 
 def test_history_norm_max_follows_norms():
     # add caches the largest filled norm.  The script evicts the row that
-    # held the maximum, then lets a NaN row and an inf row enter and leave.
-    # swarm_diversity is compared with == against the per-row norm, or both
-    # are NaN.  With a NaN row, Python's min keeps NaN only when it comes
-    # first, so there the reference scans the rows in storage order, as the
-    # full scan does.
-    def same(a, b):
-        return a == b or (math.isnan(a) and math.isnan(b))
-
+    # held the maximum; a NaN row and an inf row are rejected on the way.
+    # swarm_diversity is compared with == against the per-row norm.
     capacity, dim = 4, 5
     rng = np.random.default_rng(7)
     h = HistoryArchive(dimension=dim, capacity=capacity)
@@ -217,24 +213,59 @@ def test_history_norm_max_follows_norms():
               + [inf_row] + [rng.uniform(-3.0, 3.0, dim) for _ in range(capacity)])
     maxima = []
     for row in script:
+        if not np.isfinite(row).all():
+            with pytest.raises(ValueError, match="archive row coordinate 1 is"):
+                h.add(row)
+            continue
         h.add(row)
         n = len(h)
-        assert same(h.norm_max, float(h.norms[:n].max()))
+        assert h.norm_max == float(h.norms[:n].max())
         maxima.append(h.norm_max)
-        has_nan = bool(np.isnan(h.rows[:n]).any())
-        reference = h.rows[:n] if has_nan else h.entries
-        finite = h.rows[:n][np.isfinite(h.rows[:n]).all(axis=1)]
-        for x in (rng.uniform(-3.0, 3.0, dim), finite[rng.integers(len(finite))],
-                  np.full(dim, 1e151)):   # past the scale bound
-            assert same(swarm_diversity(x, h), _rowwise(x, reference))
+        for x in (rng.uniform(-3.0, 3.0, dim), h.rows[rng.integers(n)]):
+            assert swarm_diversity(x, h) == _rowwise(x, h.entries)
+        with pytest.raises(ValueError, match="too large"):   # scale 5e302
+            swarm_diversity(np.full(dim, 1e151), h)
+    assert len(maxima) == len(script) - 2
     assert maxima[0] == maxima[capacity - 1] == 9.0 * 9.0 * dim
     assert maxima[capacity] < 9.0 * 9.0 * dim             # big evicted
-    nan_at = capacity + 1
-    assert all(math.isnan(m) for m in maxima[nan_at:nan_at + capacity])
-    assert math.isfinite(maxima[nan_at + capacity])        # NaN row evicted
-    inf_at = nan_at + capacity + 1
-    assert all(m == math.inf for m in maxima[inf_at:inf_at + capacity])
-    assert math.isfinite(maxima[inf_at + capacity])        # inf row evicted
+
+
+def test_rejected_add_leaves_archive_unchanged():
+    h = HistoryArchive(dimension=3, capacity=3)
+    for row, match in (([0.5, np.nan, 0.0], "coordinate 1 is nan"),
+                       ([np.inf, 0.0, 0.0], "coordinate 0 is inf"),
+                       (np.full(3, 1e151), re.escape("|row|^2 = 3e+302"))):
+        with pytest.raises(ValueError, match=match):
+            h.add(np.array(row))
+        assert (len(h), h.added, h.norm_max) == (0, 0, -math.inf)
+    rng = np.random.default_rng(5)
+    for _ in range(4):   # full, so the next add would evict a row
+        h.add(rng.uniform(-1.0, 1.0, 3))
+    before = (h.rows.copy(), h.norms.copy(), h.norm_max, h.added, h.entries)
+    for row in ([0.5, np.nan, 0.0], [-np.inf, 0.0, 0.0], np.full(3, 1e151)):
+        with pytest.raises(ValueError, match="archive row"):
+            h.add(np.array(row))
+        after = (h.rows, h.norms, h.norm_max, h.added, h.entries)
+        assert all(np.array_equal(a, b) for a, b in zip(before, after))
+
+
+def test_nan_archive_row_rejected_in_either_order():
+    # Scored by Python's min in storage order, a NaN row once gave NaN or
+    # 0.4621 for the same three rows, depending on the write pointer.
+    x = np.full(3, 0.5)
+    nan_row, ones, zeros = np.array([np.nan, 0.0, 0.0]), np.ones(3), np.zeros(3)
+    scores = []
+    for order in ((nan_row, ones, zeros), (ones, zeros, nan_row)):
+        h = HistoryArchive(dimension=3, capacity=3)
+        for row in order:
+            if row is nan_row:
+                with pytest.raises(ValueError, match="coordinate 0 is nan"):
+                    h.add(row)
+            else:
+                h.add(row)
+        scores.append(swarm_diversity(x, h))
+    assert scores[0] == scores[1] == _rowwise(x, [ones, zeros])
+    assert scores[0] == pytest.approx(math.tanh(0.5))
 
 
 @given(st.lists(st.floats(-50, 50), min_size=3, max_size=3))

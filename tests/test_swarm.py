@@ -39,7 +39,7 @@ def test_config_validation():
         SwarmConfig(pop_size=2)
     with pytest.raises(ValueError, match="phi"):
         SwarmConfig(phi=1.5)
-    for bound in (math.nan, math.inf, 0.0):
+    for bound in (math.nan, math.inf, 0.0, 1e101):
         with pytest.raises(ValueError, match="swarm_bound"):
             SwarmConfig(swarm_bound=bound)
 
