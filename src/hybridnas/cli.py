@@ -142,7 +142,10 @@ def parse_config(file_path: str | None, flag_overrides: dict | None = None
     for key, val in (flag_overrides or {}).items():
         if key not in KEY_PATHS:
             raise ValueError(f"unknown config key {key!r}")
-        values[key] = _coerce(key, _text(val), type(KEY_DEFAULTS[key]))
+        value = values[key] = _coerce(key, _text(val), type(KEY_DEFAULTS[key]))
+        # config.txt holds a value a line, and '#' starts a comment there
+        if isinstance(value, str) and any(c in value for c in "#\n\r"):
+            raise ValueError(f"{key} must not contain '#' or a line break, got {value!r}")
     cfg = _build(RunConfig(), {KEY_PATHS[k][-1]: v for k, v in values.items()})
     if cfg.log_format not in LOG_FORMATS:
         raise ValueError(f"log_format must be csv or jsonl, got "
@@ -360,7 +363,7 @@ def main_cli(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError, KeyError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

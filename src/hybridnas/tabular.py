@@ -225,11 +225,13 @@ def load_space(path: str) -> TabularSpace:
 class _Rows:
     """The rows of a space file, taken a chunk of lines at a time.
 
-    Rows usually come in row order, as save_space writes them: a chunk whose
-    keys are the next canonical ones, in order, is parsed as a whole.  Any
-    other chunk goes line by line, where a key equal to the next canonical
-    one is row p without parsing and any other key is parsed.  Nothing of
-    size n is built before the file has covered the table."""
+    One validator, ``_take``, checks a chunk as a whole and takes all of
+    its rows or none.  Rows usually come in row order, as save_space writes
+    them: a key equal to the next canonical one is that row without
+    parsing, and only other keys are parsed.  If a chunk fails, ``add``
+    tries its non-blank lines as a whole, and if they fail too, takes them
+    one at a time, which names the first bad line.  Nothing of size n is
+    built before the file has covered the table."""
 
     def __init__(self, num_edges: int, num_ops: int):
         self.num_edges, self.num_ops = num_edges, num_ops
@@ -241,50 +243,69 @@ class _Rows:
 
     def add(self, lines: list[str], first: int) -> None:
         """Take ``lines``, the first of which is line ``first`` of the file."""
+        try:
+            return self._take(lines)
+        except SpaceFormatError:
+            numbered = [(i, ln) for i, ln in enumerate(lines, start=first) if ln.strip()]
+        try:
+            return self._take([ln for _, ln in numbered])
+        except SpaceFormatError:
+            for i, ln in numbered:
+                try:
+                    self._take([ln])
+                except SpaceFormatError as exc:
+                    raise SpaceFormatError(f"line {i}: {exc}") from None
+
+    def _take(self, lines: list[str]) -> None:
+        """Take ``lines`` as rows if every one is valid; else raise
+        SpaceFormatError and take none.  The checks run in the order field
+        count, key, duplicate, number, cost, accuracy, so on one line the
+        message is that of the first check the line fails."""
         m = len(lines)
-        if len(self.ahead) < m:
-            self.ahead += itertools.islice(self.canonical, m - len(self.ahead))
-        chunk = _in_order_metrics(lines, self.ahead[:m])
-        # a scattered row among rows p..p+m-1 is a duplicate line
-        if chunk is None or not self.scattered.keys().isdisjoint(range(self.p, self.p + m)):
-            for i, ln in enumerate(lines, start=first):
-                self._add_line(ln, i)
+        self.ahead += itertools.islice(self.canonical, max(0, m - len(self.ahead)))
+        fields = ",".join(lines).rstrip("\n").split(",")
+        # A line holds one newline, at its end, and the last line's is
+        # gone, so if every fourth field holds one of the m - 1 left, every
+        # line has 4 fields.
+        if len(fields) != 4 * m or "".join(fields[3::4]).count("\n") != m - 1:
+            raise SpaceFormatError(f"expected 4 fields, got {len(fields)}")
+        keys, ahead = fields[::4], self.ahead[:m]
+        p, scattered = self.p, self.scattered
+        in_order = keys == ahead
+        if in_order:
+            rows, repeated = range(p, p + m), False
         else:
-            self.values.extend(chunk)
+            rows = [p + i if key == a else _key_row(key, self.num_edges, self.num_ops)
+                    for i, (key, a) in enumerate(itertools.zip_longest(keys, ahead))]
+            if None in rows:
+                raise SpaceFormatError(f"bad genotype key {keys[rows.index(None)]!r}")
+            repeated = min(rows) < p or len(set(rows)) < m
+        if repeated or not scattered.keys().isdisjoint(rows):
+            i = next(i for i, r in enumerate(rows)
+                     if r < p or r in scattered or r in rows[:i])
+            raise SpaceFormatError(f"duplicate genotype {keys[i]!r}")
+        del fields[::4]
+        try:
+            values = array("d", map(float, fields))
+        except ValueError as exc:
+            raise SpaceFormatError(str(exc)) from None
+        table = np.frombuffer(values).reshape(m, 3)
+        acc, cost = table[:, :2], table[:, 2]
+        for ok, problem in ((np.isfinite(cost), "not finite"), (cost > 0.0, "not positive")):
+            if not ok.all():
+                i = int(ok.argmin())
+                raise SpaceFormatError(f"cost {cost[i].item()} is {problem} for {keys[i]!r}")
+        ok = (acc >= 0.0) & (acc <= 1.0)   # False for NaN
+        if not ok.all():
+            i = int(ok.argmin())   # row-major, so valid_acc before test_acc
+            raise SpaceFormatError(
+                f"accuracy {acc.flat[i].item()} out of range for {keys[i // 2]!r}")
+        if in_order:
+            self.values.extend(values)
             self.p += m
             del self.ahead[:m]
-
-    def _add_line(self, ln: str, i: int) -> None:
-        if not ln.strip():
-            return
-        parts = ln.rstrip("\n").split(",")
-        if len(parts) != 4:
-            raise SpaceFormatError(f"line {i}: expected 4 fields, got {len(parts)}")
-        key, va, ta, cost = parts
-        p, scattered = self.p, self.scattered
-        # ahead[0] is the key of row p, until every row has come in order
-        row = p if key in self.ahead[:1] else _key_row(key, self.num_edges, self.num_ops)
-        if row is None:
-            raise SpaceFormatError(f"line {i}: bad genotype key {key!r}")
-        if row < p or row in scattered:
-            raise SpaceFormatError(f"line {i}: duplicate genotype {key!r}")
-        try:
-            va, ta, cost = float(va), float(ta), float(cost)
-        except ValueError as exc:
-            raise SpaceFormatError(f"line {i}: {exc}") from None
-        if not math.isfinite(cost):
-            raise SpaceFormatError(f"line {i}: cost {cost} is not finite for {key!r}")
-        if cost <= 0.0:
-            raise SpaceFormatError(f"line {i}: cost {cost} is not positive for {key!r}")
-        for acc in (va, ta):
-            if not 0.0 <= acc <= 1.0:
-                raise SpaceFormatError(f"line {i}: accuracy {acc} out of range for {key!r}")
-        if row == p:
-            self.values.extend((va, ta, cost))
-            self.p += 1
-            del self.ahead[0]
         else:
-            scattered[row] = (va, ta, cost)
+            scattered.update(zip(rows, table.tolist()))
 
     def metrics(self) -> np.ndarray:
         """The (n, 3) table, once the rows cover it."""
@@ -301,31 +322,6 @@ class _Rows:
         for row, m in scattered.items():
             metrics[row] = m
         return metrics
-
-
-def _in_order_metrics(lines: list[str], keys: list[str]) -> array | None:
-    """The metrics of ``lines`` if they are valid rows whose keys are
-    ``keys``, in order; else None, and nothing is taken."""
-    if not lines[-1].endswith("\n"):   # the file's last line
-        lines[-1] += "\n"
-    fields = ",".join(lines).split(",")
-    if len(fields) != 4 * len(lines) or fields[::4] != keys:
-        return None
-    # A line holds one newline, at its end, so if every fourth field holds
-    # one, every line has 4 fields.
-    if "".join(fields[3::4]).count("\n") != len(lines):
-        return None
-    del fields[::4]
-    try:
-        chunk = array("d", map(float, fields))
-    except ValueError:
-        return None
-    m = np.frombuffer(chunk).reshape(-1, 3)
-    acc, cost = m[:, :2], m[:, 2]
-    # min and max are NaN if any value is, which fails every comparison.
-    if cost.min() > 0.0 and cost.max() < math.inf and acc.min() >= 0.0 and acc.max() <= 1.0:
-        return chunk
-    return None
 
 
 def query(space: TabularSpace, genotype: Genotype, budget: QueryBudget) -> Metrics:

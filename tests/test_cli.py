@@ -472,6 +472,29 @@ def test_gen_space_rejects_a_name_that_does_not_load_back(tmp_path, capsys, name
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key, value", [("space", "a#b.txt"), ("out", "run\nx"),
+                                        ("out", "run\rx")])
+def test_string_that_config_txt_cannot_hold_is_rejected(key, value):
+    # config.txt read 'a#b.txt' back as 'a'; a line break split the value.
+    with pytest.raises(ValueError,
+                       match=rf"^{key} must not contain '#' or a line break, got "):
+        parse_config(None, {key: value})
+
+
+def test_memory_error_is_a_clean_error(tmp_path, capsys, monkeypatch):
+    # gen-space --num-nodes 3 has 4**18 genotypes; numpy's MemoryError
+    # escaped as a traceback.
+    def too_big(*args, **kwargs):
+        raise MemoryError("Unable to allocate 512. GiB")
+    monkeypatch.setattr(cli, "generate_space", too_big)
+    out = tmp_path / "space.txt"
+    assert main_cli(["gen-space", "--num-nodes", "3", "--out", str(out)]) == 1
+    printed = capsys.readouterr()
+    assert printed.out == ""
+    assert printed.err == "error: Unable to allocate 512. GiB\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["search", "--seed", "-1", "--max-epochs", "1"],
     ["search", "--config", "{config}", "--max-epochs", "1"],
@@ -521,8 +544,10 @@ def test_nonfinite_values_rejected_before_run(tmp_path, capsys):
     (["search", "--history-capacity", "0"], "history_capacity"),
     (["search", "--log-format", "xml"], "log_format"),
     (["check-grad", "--feature-dim", "0"], "feature_dim"),
+    (["search", "--space", "a#b.txt"], "space"),
 ], ids=["search-classes-0", "search-classes-1", "search-feature-dim-0",
-        "search-history-0", "search-log-xml", "check-grad-feature-dim-0"])
+        "search-history-0", "search-log-xml", "check-grad-feature-dim-0",
+        "search-space-hash"])
 def test_bad_sizes_rejected_before_run(tmp_path, capsys, argv, field):
     # These escaped as ZeroDivisionError tracebacks, or failed only after
     # the run had started and written its out directory.

@@ -284,6 +284,17 @@ def test_load_far_bad_line_names_it(tmp_path, long_lines, row, kind):
         load_space(_write_lines(tmp_path, lines))
 
 
+@pytest.mark.parametrize("kind", ["accuracy", "key", "number"])
+@pytest.mark.parametrize("at", [1, 3000, 6560])
+def test_load_far_bad_line_in_reversed_rows_names_it(tmp_path, long_lines, at, kind):
+    # No chunk's keys are the next canonical ones, so every chunk is
+    # checked with its keys parsed.
+    lines = long_lines[:3] + long_lines[3:][::-1]
+    lines[at + 3], message = _bad_row(lines[at + 3], kind)
+    with pytest.raises(SpaceFormatError, match=f"^line {at + 4}: {re.escape(message)}$"):
+        load_space(_write_lines(tmp_path, lines))
+
+
 def test_load_skips_blank_lines_and_counts_them(tmp_path, long_lines):
     blank = ["", "   ", "\t"]
     lines = long_lines[:10] + blank + long_lines[10:4000] + blank + long_lines[4000:]
@@ -291,6 +302,15 @@ def test_load_skips_blank_lines_and_counts_them(tmp_path, long_lines):
     # row 5000 sits on line 5004 + 6 blank lines
     lines[5009], message = _bad_row(lines[5009], "accuracy")
     with pytest.raises(SpaceFormatError, match=f"^line 5010: {re.escape(message)}$"):
+        load_space(_write_lines(tmp_path, lines))
+
+
+def test_load_blank_line_beside_a_bad_one_is_counted(tmp_path, long_lines):
+    # The chunk without its blank line fails too, so its lines go one at a time.
+    lines = list(long_lines)
+    lines[5003], message = _bad_row(lines[5003], "number")
+    lines.insert(5003, "  ")
+    with pytest.raises(SpaceFormatError, match=f"^line 5005: {re.escape(message)}$"):
         load_space(_write_lines(tmp_path, lines))
 
 
